@@ -21,9 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import SafetyThresholds
-from .errors import (ConvergenceFailure, InfeasibleConstraint,
-                     InvalidParameter, MultipleExtrema, NoExtremum,
-                     OutOfDomain, ParseError, RingflowError, ValidationError)
+from .errors import ParseError, RingflowError
 from .optimize import (classify_pressure_drop, find_coupling_point,
                        max_admissible_withdrawal)
 from .oracle import OracleGrid, compare_with_series, simulate
@@ -46,6 +44,10 @@ SCENARIO_ENV = "RINGFLOW_SCENARIO"
 
 class UsageError(RingflowError):
     """Bad argv or an unreadable scenario path."""
+
+
+class ToleranceExceeded(RingflowError, ArithmeticError):
+    """validate found the series and the oracle further apart than allowed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,7 +219,7 @@ def _cmd_node(inv, ns):
         (point.position_m, point.pressure_pa, point.time_s, True),
         {"grid_step_m": ns.grid_step,
          "include_withdrawals": ns.include_withdrawals})
-    return emit(table, inv.fmt), EXIT_OK
+    return emit(table, inv.fmt), None
 
 
 def _cmd_pressure(inv, ns):
@@ -228,14 +230,14 @@ def _cmd_pressure(inv, ns):
         scenario, ("x_m", "t_s", "p_pa", "dP_dx_pa_per_m"),
         (result.position_m, result.time_s, result.pressure_pa,
          result.gradient_pa_per_m))
-    return emit(table, inv.fmt), EXIT_OK
+    return emit(table, inv.fmt), None
 
 
 def _cmd_gradient_table(inv, ns):
     scenario = _load(inv)
     times = _float_list(ns.times, "--times")
     table = gradient_table(scenario, times, ns.dx)
-    return emit(table, inv.fmt), EXIT_OK
+    return emit(table, inv.fmt), None
 
 
 def _cmd_drawdown(inv, ns):
@@ -248,7 +250,7 @@ def _cmd_drawdown(inv, ns):
     else:
         positions = [0.0, tap]
     table = drawdown_table(scenario, positions, times, levels, tap_m=tap)
-    return emit(table, inv.fmt), EXIT_OK
+    return emit(table, inv.fmt), None
 
 
 def _cmd_max_draw(inv, ns):
@@ -269,7 +271,7 @@ def _cmd_max_draw(inv, ns):
          result.inlet_pressure_pa, result.per_unit_drop_pa,
          verdict.drop_fraction, verdict.band.value),
         {"tap_m": tap, "p_min_pa": ns.pmin, "method": ns.method})
-    return emit(table, inv.fmt), EXIT_OK
+    return emit(table, inv.fmt), None
 
 
 def _cmd_classify(inv, ns):
@@ -283,7 +285,7 @@ def _cmd_classify(inv, ns):
         scenario, ("nominal_pa", "current_pa", "drop_fraction", "band"),
         (ns.nominal, ns.current, verdict.drop_fraction,
          verdict.band.value))
-    return emit(table, inv.fmt), EXIT_OK
+    return emit(table, inv.fmt), None
 
 
 def _cmd_validate(inv, ns):
@@ -299,8 +301,8 @@ def _cmd_validate(inv, ns):
         (entry.time_s, entry.rel_l2, entry.max_abs_pa,
          entry.mean_drop_rel_err)
         for entry in metrics.entries)
-    passed = (metrics.worst_rel_l2() <= VALIDATE_L2_LIMIT
-              and metrics.worst_mean_drop_err() <= VALIDATE_MEAN_LIMIT)
+    l2, mean = metrics.worst_rel_l2(), metrics.worst_mean_drop_err()
+    passed = l2 <= VALIDATE_L2_LIMIT and mean <= VALIDATE_MEAN_LIMIT
     table = ProfileTable(
         axis="time_scan",
         columns=("t_s", "rel_l2", "max_abs_pa", "mean_drop_rel_err"),
@@ -312,17 +314,19 @@ def _cmd_validate(inv, ns):
                   "mean_limit": VALIDATE_MEAN_LIMIT,
                   "max_residual_rel": run.max_residual_rel,
                   "passed": passed})
-    return emit(table, inv.fmt), EXIT_OK if passed else EXIT_NUMERICAL
+    return emit(table, inv.fmt), None if passed else ToleranceExceeded(
+        f"worst rel_l2 {l2:.6g} (limit {VALIDATE_L2_LIMIT:g}), worst "
+        f"mean_drop_rel_err {mean:.6g} (limit {VALIDATE_MEAN_LIMIT:g})")
 
 
 def _cmd_report(inv, ns):
     scenario = _load(inv)
     bundle = build_report(scenario, coupling_time_s=ns.time, p_min=ns.pmin)
-    return json.dumps(bundle, sort_keys=True, indent=2) + "\n", EXIT_OK
+    return json.dumps(bundle, sort_keys=True, indent=2) + "\n", None
 
 
 def _cmd_echo_config(inv, ns):
-    return dump_scenario(_load(inv)), EXIT_OK
+    return dump_scenario(_load(inv)), None
 
 
 _HANDLERS = {
@@ -343,13 +347,13 @@ def _error_line(exc: BaseException) -> str:
 
 
 def _exit_code(exc: BaseException) -> int:
-    if isinstance(exc, (UsageError, ParseError)):
+    # Numerical failures are ArithmeticErrors, rejected inputs ValueErrors.
+    if isinstance(exc, (UsageError, ParseError, OSError)):
         return EXIT_USAGE
-    if isinstance(exc, (ValidationError, InvalidParameter, OutOfDomain,
-                        InfeasibleConstraint)):
-        return EXIT_VALIDATION
-    if isinstance(exc, (NoExtremum, MultipleExtrema, ConvergenceFailure)):
+    if isinstance(exc, ArithmeticError):
         return EXIT_NUMERICAL
+    if isinstance(exc, ValueError):
+        return EXIT_VALIDATION
     raise exc
 
 
@@ -359,16 +363,18 @@ def run(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         inv = _invocation(ns)
-        text, code = _HANDLERS[ns.subcommand](inv, ns)
-    except RingflowError as exc:
+        text, failure = _HANDLERS[ns.subcommand](inv, ns)
+        if inv.output:
+            with open(inv.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        if failure is not None:         # a result that is itself a failure
+            raise failure
+    except (RingflowError, OSError) as exc:
         sys.stderr.write(_error_line(exc) + "\n")
         return _exit_code(exc)
-    if inv.output:
-        with open(inv.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    return EXIT_OK
 
 
 def entrypoint() -> None:

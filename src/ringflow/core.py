@@ -49,6 +49,8 @@ class PipelineConfig:
     base_flow: float            # base throughput G0, Pa*s/m
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            _require(math.isfinite(value), f"{name} must be finite")
         _require(self.length_m > 0.0, "length_m must be > 0")
         _require(self.sound_speed_m_s > 0.0, "sound_speed_m_s must be > 0")
         _require(self.linearization_a > 0.0, "linearization_a must be > 0")

@@ -18,11 +18,9 @@ import numpy as np
 
 from . import series
 from .core import (GradientMode, PipelineConfig, SafetyThresholds,
-                   SeriesOptions, WithdrawalPoint, WithdrawalSchedule)
+                   SeriesOptions, WithdrawalSchedule)
 from .errors import (InfeasibleConstraint, InvalidParameter, MultipleExtrema,
                      NegativeWithdrawalWarning, NoExtremum, OutOfDomain)
-
-_PI = math.pi
 
 #: Bisection stops once the bracket is narrower than this, in metres.
 POSITION_TOLERANCE_M = 0.01
@@ -65,27 +63,6 @@ class DropClassification:
     band: Band
 
 
-def _scan_gradient(t, schedule, cfg, opts, include_withdrawals):
-    """Smooth gradient used for extremum scans.
-
-    By default the coupling point is located on the base, pre-connection
-    field, so the schedule is ignored; with ``include_withdrawals`` the full
-    gradient of the loaded field is scanned instead.
-    """
-    if include_withdrawals:
-        sched, mode = schedule, GradientMode.FULL
-    else:
-        sched, mode = series.EMPTY_SCHEDULE, GradientMode.BASE_ONLY
-
-    def grad(x: float) -> float:
-        return series.continuous_gradient(x, t, sched, cfg, opts, mode=mode)
-
-    def field(x: float) -> float:
-        return series.pressure(x, t, sched, cfg, opts)
-
-    return grad, field
-
-
 def _bisect_root(grad, lo: float, hi: float) -> float:
     while hi - lo > POSITION_TOLERANCE_M:
         mid = 0.5 * (lo + hi)
@@ -112,25 +89,30 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     refined candidates attached, when more than one crossing exists.
     """
     opts = opts or series.DEFAULT_OPTIONS
-    if t < 0.0:
-        raise OutOfDomain(f"time {t:g} is negative")
     if t == 0.0:
         raise NoExtremum("the gradient is identically zero at t = 0")
     if not 0.0 < grid_step < cfg.length_m:
         raise InvalidParameter("grid_step must lie in (0, L)")
 
-    grad, field = _scan_gradient(t, schedule, cfg, opts, include_withdrawals)
+    # The base, pre-connection field by default; with include_withdrawals
+    # the full gradient of the loaded field.
+    if include_withdrawals:
+        sched, mode = schedule, GradientMode.FULL
+    else:
+        sched, mode = series.EMPTY_SCHEDULE, GradientMode.BASE_ONLY
 
-    brackets: list[tuple[float, float]] = []
-    prev_x: float | None = None
-    prev_v = 0.0
-    for x in np.arange(grid_step, cfg.length_m, grid_step):
-        value = grad(float(x))
-        if value == 0.0:
-            continue                      # carry the last definite sign
-        if prev_x is not None and prev_v > 0.0 and value < 0.0:
-            brackets.append((prev_x, float(x)))
-        prev_x, prev_v = float(x), value
+    def grad(x: float) -> float:
+        return series.continuous_gradient(x, t, sched, cfg, opts, mode=mode)
+
+    def field(x: float) -> float:
+        return series.pressure(x, t, sched, cfg, opts)
+
+    xs = np.arange(grid_step, cfg.length_m, grid_step)
+    values = series._gradient(xs, t, sched, cfg, opts, mode)[0]
+    definite = values != 0.0              # zeros carry the last sign
+    xs, values = xs[definite], values[definite]
+    falls = np.flatnonzero((values[:-1] > 0.0) & (values[1:] < 0.0))
+    brackets = [(float(xs[i]), float(xs[i + 1])) for i in falls]
 
     if not brackets:
         raise NoExtremum(f"no + to - gradient crossing on (0, L) at t = {t:g}")
@@ -153,16 +135,12 @@ def tap_pressure(total: float, t: float, x_new: float,
                  opts: SeriesOptions | None = None) -> float:
     """Pressure at the tap when a total withdrawal ``total`` sits there.
 
-    Equals the full series evaluated at its own tap: the cosine response
-    collapses to the s_e kernel because cos(0) = 1 in every mode.
+    The base pressure minus ``total`` times the point-mode per-unit drop
+    there: the full series evaluated at its own tap.
     """
     opts = opts or series.DEFAULT_OPTIONS
-    c_sq = cfg.sound_speed_m_s**2
-    base_coeff = 2.0 * cfg.linearization_a * cfg.base_flow * cfg.length_m
-    kernel = t + 2.0 * _PI * series.s_e(t, cfg, opts)
-    return (cfg.nominal_pressure()
-            + base_coeff * series.s_sin(x_new, t, cfg, opts)
-            - (c_sq / cfg.length_m) * total * kernel)
+    return (series.base_pressure(x_new, t, cfg, opts)
+            - total * float(series._unit_drop(x_new, t, x_new, cfg, opts)[0]))
 
 
 def pressure_at_coupling(t: float, g_new: float, x_new: float,
@@ -172,10 +150,8 @@ def pressure_at_coupling(t: float, g_new: float, x_new: float,
     opts = opts or series.DEFAULT_OPTIONS
     if not 0.0 < x_new < cfg.length_m:
         raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
-    if g_new < 0.0:
-        raise InvalidParameter("g_new must be >= 0")
-    if t < 0.0:
-        raise OutOfDomain(f"time {t:g} is negative")
+    if not 0.0 <= g_new < math.inf:
+        raise InvalidParameter("g_new must be finite and >= 0")
     return tap_pressure(cfg.base_flow + g_new, t, x_new, cfg, opts)
 
 
@@ -184,25 +160,24 @@ def invert_withdrawal(p_target: float, t: float, x_new: float,
                       printed_form: bool = False) -> float:
     """Withdrawal increment g_new that yields ``p_target`` at the tap.
 
-    Closed-form inversion of the affine tap-pressure relation, so
+    The affine inverse of :func:`tap_pressure`, so
     ``pressure_at_coupling(t, g, x)`` and this function round-trip exactly.
-    The self-consistent time kernel is (t + 2*pi*S_e); ``printed_form``
-    selects the (t + 2*S_e) variant found in the source formula, which does
-    not round-trip and is kept only for comparison.
+    The self-consistent per-unit drop at the tap is (c^2/L)*(t + 2*pi*S_e);
+    ``printed_form`` selects the (t + 2*S_e) kernel found in the source
+    formula, which does not round-trip and is kept only for comparison.
     """
     opts = opts or series.DEFAULT_OPTIONS
     if not 0.0 < x_new < cfg.length_m:
         raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
-    if t <= 0.0:
-        raise InvalidParameter("inversion requires t > 0")
-    c_sq = cfg.sound_speed_m_s**2
-    a, g0, length = cfg.linearization_a, cfg.base_flow, cfg.length_m
-    kernel_scale = 2.0 if printed_form else 2.0 * _PI
-    kernel = t + kernel_scale * series.s_e(t, cfg, opts)
-    numerator = (cfg.inlet_pressure_pa - p_target
-                 - a * g0 * length * (1.0 - 2.0 * series.s_sin(x_new, t, cfg, opts)))
-    total = numerator / ((c_sq / length) * kernel)
-    g_new = total - g0
+    if not 0.0 < t < math.inf:
+        raise InvalidParameter("inversion requires a finite t > 0")
+    if printed_form:
+        drop = (cfg.sound_speed_m_s**2 / cfg.length_m
+                * (t + 2.0 * series.s_e(t, cfg, opts)))
+    else:
+        drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0])
+    base = series.base_pressure(x_new, t, cfg, opts)
+    g_new = (base - p_target) / drop - cfg.base_flow
     if g_new < 0.0:
         warnings.warn(
             f"target pressure {p_target:g} Pa exceeds the zero-withdrawal "
@@ -223,31 +198,33 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
     per-unit drop D(t), so the constraint over the horizon reduces to an
     affine inversion at the binding time (``method="affine"``).  The
     ``"bisection"`` method solves the same sampled min-over-time constraint
-    iteratively to 1e-6 flow units and exists as a cross-check.
+    to 1e-6 flow units, or as far as floating point can split the bracket
+    (totals above about 1e9), and exists as a cross-check.
 
     D(t) is checked for monotone growth on the sample grid; if that ever
-    failed, the sampled maximum would be used as the binding point.
+    failed, the sampled maximum would be used as the binding point.  As in
+    the admissible table, D(t) is evaluated in point mode whatever the
+    withdrawal model.
     """
     opts = opts or series.DEFAULT_OPTIONS
-    if horizon_s <= 0.0:
-        raise InvalidParameter("horizon_s must be > 0")
+    if not 0.0 < horizon_s < math.inf:
+        raise InvalidParameter("horizon_s must be finite and > 0")
     if not 0.0 < x_new < cfg.length_m:
         raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
     if g_max is not None and g_max < 0.0:
         raise InvalidParameter("g_max must be >= 0 or None")
     if time_samples < 2:
         raise InvalidParameter("time_samples must be >= 2")
+    if not math.isfinite(p_min):
+        raise InvalidParameter("p_min must be finite")
     nominal = cfg.nominal_pressure()
     if p_min > nominal:
         raise InfeasibleConstraint(
             f"pressure floor {p_min:g} Pa exceeds the nominal level "
             f"{nominal:g} Pa; even zero withdrawal violates it")
 
-    unit = WithdrawalSchedule((WithdrawalPoint(x_new, 1.0),))
     times = horizon_s * np.arange(1, time_samples + 1) / time_samples
-    drops = np.array([
-        -series.withdrawal_response(0.0, float(tt), unit, cfg, opts)
-        for tt in times])
+    drops = series._unit_drop(0.0, times, x_new, cfg, opts)
     monotone = bool(np.all(np.diff(drops) >= -1e-9 * abs(drops[-1])))
     bind = len(drops) - 1 if monotone else int(np.argmax(drops))
     drop_max = float(drops[bind])
@@ -259,7 +236,7 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
         def feasible(g: float) -> bool:
             return bool(np.all(nominal - g * drops >= p_min - 1e-9))
         lo, hi = 0.0, 2.0 * budget / drop_max + 1.0
-        while hi - lo > 1e-6:
+        while hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             if feasible(mid):
                 lo = mid

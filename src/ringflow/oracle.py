@@ -55,10 +55,10 @@ class OracleGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.cells, int) or self.cells < 64:
             raise InvalidParameter("cells must be an integer >= 64")
-        if self.dt_s <= 0.0:
-            raise InvalidParameter("dt_s must be > 0")
-        if self.horizon_s < self.dt_s:
-            raise InvalidParameter("horizon_s must be >= dt_s")
+        if not 0.0 < self.dt_s < np.inf:
+            raise InvalidParameter("dt_s must be finite and > 0")
+        if not self.dt_s <= self.horizon_s < np.inf:
+            raise InvalidParameter("horizon_s must be finite and >= dt_s")
 
 
 @dataclass
@@ -146,6 +146,8 @@ def simulate(cfg: PipelineConfig, schedule: WithdrawalSchedule,
     times are reported on the returned run.
     """
     schedule.check_positions(cfg.length_m)
+    if not np.all(np.isfinite([p.rate for p in schedule.points])):
+        raise InvalidParameter("withdrawal rates must be finite")
     length = cfg.length_m
     n, dt = grid.cells, grid.dt_s
     dx = length / n

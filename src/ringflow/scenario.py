@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 import yaml
 
 from .core import (DecayMode, GradientMode, PipelineConfig, SafetyThresholds,
@@ -41,7 +43,7 @@ from .core import (DecayMode, GradientMode, PipelineConfig, SafetyThresholds,
 from .errors import (InfeasibleConstraint, InvalidParameter, ParseError,
                      ValidationError)
 from .optimize import find_coupling_point, tap_pressure
-from .series import pressure, pressure_gradient, withdrawal_response
+from .series import _gradient, _pressure_field, _unit_drop
 
 _PIPELINE_KEYS = ("length_m", "sound_speed_m_s", "linearization_a_per_s",
                   "inlet_pressure_pa", "base_flow")
@@ -74,6 +76,8 @@ def _number(node: dict, key: str, path: str) -> float:
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}.{key}: expected a number")
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}.{key}: expected a finite number")
     return float(value)
 
 
@@ -292,19 +296,19 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     regularized gradient 0.
     """
     cfg = scenario.pipeline
-    if dx <= 0.0:
-        raise InvalidParameter("dx must be > 0")
+    if not 0.0 < dx < math.inf:
+        raise InvalidParameter("dx must be finite and > 0")
     steps = cfg.length_m / dx
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidParameter(
             f"dx {dx:g} does not divide ring length {cfg.length_m:g}")
     positions = [i * dx for i in range(int(round(steps)) + 1)]
-    rows = tuple(
-        (x, t, pressure_gradient(x, t, scenario.schedule, cfg,
-                                 scenario.series))
-        for x in positions
-        for t in t_list
-    )
+    grad = _gradient(positions, t_list, scenario.schedule, cfg,
+                     scenario.series)
+    grad[:, np.isin(positions, [p.position_m for p in scenario.schedule])] = 0.0
+    rows = tuple((x, t, value)
+                 for x, column in zip(positions, grad.T.tolist())
+                 for t, value in zip(t_list, column))
     metadata = _base_metadata(scenario)
     metadata["dx_m"] = dx
     return ProfileTable(axis="space_scan",
@@ -327,15 +331,16 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
             f"tap position {tap:g} out of range [0, {cfg.length_m:g})")
     opts = replace(scenario.series,
                    withdrawal_model=WithdrawalModel.POINT)
-    rows = []
-    for t in t_list:
-        for g in g_levels:
-            if g < 0.0:
-                raise InvalidParameter(f"withdrawal level {g:g} is negative")
-            level_schedule = WithdrawalSchedule.from_pairs([(tap, g)])
-            for x in x_list:
-                rows.append((x, t, g,
-                             pressure(x, t, level_schedule, cfg, opts)))
+    for g in g_levels:
+        if not 0.0 <= g < math.inf:
+            raise InvalidParameter(f"withdrawal level {g:g} outside [0, inf)")
+    blocks = [_pressure_field(x_list, t_list,
+                              WithdrawalSchedule.from_pairs([(tap, g)]),
+                              cfg, opts).tolist()
+              for g in g_levels]
+    rows = [(x, t, g, p) for i, t in enumerate(t_list)
+            for g, block in zip(g_levels, blocks)
+            for x, p in zip(x_list, block[i])]
     metadata = _base_metadata(scenario)
     metadata["tap_m"] = tap
     metadata["withdrawal_model"] = WithdrawalModel.POINT.value
@@ -358,24 +363,25 @@ def admissible_table(scenario: Scenario, t_list, p_min: float,
     if not 0.0 < tap < cfg.length_m:
         raise InvalidParameter(
             f"tap position {tap:g} out of range (0, {cfg.length_m:g})")
+    if not math.isfinite(p_min):
+        raise InvalidParameter("p_min must be finite")
     nominal = cfg.nominal_pressure()
     if p_min > nominal:
         raise InfeasibleConstraint(
             f"p_min {p_min:g} exceeds the nominal pressure {nominal:g}")
-    opts = replace(scenario.series,
-                   withdrawal_model=WithdrawalModel.POINT)
-    unit = WithdrawalSchedule.from_pairs([(tap, 1.0)])
-    budget = nominal - p_min
-    rows = []
     for t in t_list:
-        if t <= 0.0:
-            raise InvalidParameter("admissible table requires t > 0")
-        per_unit_drop = -withdrawal_response(0.0, t, unit, cfg, opts)
+        if not 0.0 < t < math.inf:
+            raise InvalidParameter("admissible table requires a finite t > 0")
+    budget = nominal - p_min
+    drops = _unit_drop(0.0, t_list, tap, cfg, scenario.series)
+    rows = []
+    for t, per_unit_drop in zip(t_list, drops.tolist()):
         if per_unit_drop <= 0.0:
             raise InvalidParameter(
                 f"per-unit inlet drop is not positive at t={t:g}")
         g_total = budget / per_unit_drop
-        rows.append((t, tap_pressure(g_total, t, tap, cfg, opts), g_total))
+        rows.append((t, tap_pressure(g_total, t, tap, cfg, scenario.series),
+                     g_total))
     metadata = _base_metadata(scenario)
     metadata["tap_m"] = tap
     metadata["p_min_pa"] = p_min

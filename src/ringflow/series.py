@@ -13,10 +13,14 @@ with E_n = 1 - exp(-n^2 * rate * t) and alpha = 2*pi^2*c^2/(a*L^2).  The
 decay rate defaults to alpha, which is the rate at which the periodic
 diffusion modes of the equivalent heat equation actually decay.
 
-Two evaluation routes are supported.  The plain route sums ``truncation_n``
-terms directly.  The accelerated route (default) evaluates the
-time-independent part of each sum by its exact closed form, valid for
-angles u in [0, 2*pi]:
+One kernel, ``_mode_sum``, evaluates sum_n trig(n*u) * E_n / n^p (sin for
+odd p, cos for even p) for a vector of times and a vector of angles u in
+[0, 2*pi] as a (times x angles) array whose rows at t = 0 are exactly zero.
+The field and its gradient are (times x positions) arrays built on it; they
+check their positions and times against [0, L] and [0, inf), so the public
+scalar functions only read one cell.  The plain route sums ``truncation_n``
+terms.  The accelerated route (default) takes the time-independent part of
+each sum from its exact closed form,
 
     sum_n sin(n*u)/n^3 = u*(pi - u)*(2*pi - u)/12
     sum_n cos(n*u)/n^2 = pi^2/6 - pi*u/2 + u^2/4
@@ -33,12 +37,12 @@ point: P(0, t) and P(L, t) are computed from identical intermediates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (GradientMode, PipelineConfig, SeriesOptions,
-                   WithdrawalModel, WithdrawalSchedule)
+                   WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
 from .errors import OutOfDomain
 
 _PI = math.pi
@@ -47,94 +51,133 @@ _PI_SQ_OVER_6 = math.pi**2 / 6.0
 DEFAULT_OPTIONS = SeriesOptions()
 EMPTY_SCHEDULE = WithdrawalSchedule(())
 
+#: Most modes x angles in one trig matrix; longer angle vectors go in
+#: blocks.  A whole 200-mode, 3000-position gradient table in one matrix
+#: (two 4.8 MB temporaries) raised the plan benchmark's peak RSS by 15 %.
+_TRIG_ELEMENTS = 1 << 16
 
-def _check_position(x: float, cfg: PipelineConfig) -> None:
-    if not 0.0 <= x <= cfg.length_m:
-        raise OutOfDomain(f"position {x:g} outside [0, {cfg.length_m:g}]")
+#: Closed form of sum_n trig(n*u)/n^p on [0, 2*pi], by power p.
+_CLOSED_FORMS = {
+    3: lambda u: u * (_PI - u) * (2.0 * _PI - u) / 12.0,
+    2: lambda u: _PI_SQ_OVER_6 - 0.5 * _PI * u + 0.25 * u * u,
+    # The closed form has a jump at u = 0 where the series itself is 0.
+    1: lambda u: np.where(u > 0.0, 0.5 * (_PI - u), 0.0),
+}
 
 
-def _check_time(t: float) -> None:
-    if t < 0.0:
-        raise OutOfDomain(f"time {t:g} is negative")
+def _axis(values) -> np.ndarray:
+    return np.atleast_1d(np.asarray(values, dtype=float))
 
 
-def _modes(opts: SeriesOptions) -> np.ndarray:
-    return np.arange(1.0, opts.truncation_n + 1.0)
+def _grid(x, times, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and times as arrays, checked against [0, L] and [0, inf)."""
+    x, times = _axis(x), _axis(times)
+    inside = (x >= 0.0) & (x <= cfg.length_m)
+    if not inside.all():
+        raise OutOfDomain(f"position {x[~inside][0]:g} "
+                          f"outside [0, {cfg.length_m:g}]")
+    finite = (times >= 0.0) & (times < math.inf)
+    if not finite.all():
+        raise OutOfDomain(f"time {times[~finite][0]:g} outside [0, inf)")
+    return x, times
 
 
 # ---------------------------------------------------------------------------
-# Mode sums.  Each takes a 1-D array of angles in [0, 2*pi] and returns
-# sum_n w(n) * trig(n*u) * (1 - exp(-n^2*rate*t)) for w(n) = n^-3, n^-2, n^-1.
+# Kernel and field: (times x positions) arrays of checked positions and times.
 # ---------------------------------------------------------------------------
 
-def _sin3_sum(theta: np.ndarray, t: float, rate: float,
-              opts: SeriesOptions) -> np.ndarray:
-    if t == 0.0:
-        return np.zeros_like(theta)
-    n = _modes(opts)
-    decay = np.exp(-(n * n) * (rate * t))
+def _mode_sum(theta, times, rate: float, opts: SeriesOptions,
+              power: int) -> np.ndarray:
+    """sum_n trig(n*u) * (1 - exp(-n^2*rate*t)) / n^power, u in [0, 2*pi]."""
+    theta, times = _axis(theta), _axis(times)
+    blocks = -(-theta.size * opts.truncation_n // _TRIG_ELEMENTS)
+    if blocks > 1 and theta.size > 1:
+        return np.hstack([_mode_sum(u, times, rate, opts, power)
+                          for u in np.array_split(theta, blocks)])
+    n = np.arange(1.0, opts.truncation_n + 1.0)
+    decay = np.exp(-np.outer(rate * times, n * n))
+    trig = (np.sin if power % 2 else np.cos)(np.outer(n, theta))
     if opts.closed_form_acceleration:
-        closed = theta * (_PI - theta) * (2.0 * _PI - theta) / 12.0
-        return closed - (decay / n**3) @ np.sin(np.outer(n, theta))
-    return ((1.0 - decay) / n**3) @ np.sin(np.outer(n, theta))
-
-
-def _cos2_sum(theta: np.ndarray, t: float, rate: float,
-              opts: SeriesOptions) -> np.ndarray:
-    if t == 0.0:
-        return np.zeros_like(theta)
-    n = _modes(opts)
-    decay = np.exp(-(n * n) * (rate * t))
-    if opts.closed_form_acceleration:
-        closed = _PI_SQ_OVER_6 - 0.5 * _PI * theta + 0.25 * theta * theta
-        return closed - (decay / n**2) @ np.cos(np.outer(n, theta))
-    return ((1.0 - decay) / n**2) @ np.cos(np.outer(n, theta))
-
-
-def _sin1_sum(theta: np.ndarray, t: float, rate: float,
-              opts: SeriesOptions) -> np.ndarray:
-    if t == 0.0:
-        return np.zeros_like(theta)
-    n = _modes(opts)
-    decay = np.exp(-(n * n) * (rate * t))
-    if opts.closed_form_acceleration:
-        # The closed form has a jump at u = 0 where the series itself is 0.
-        closed = np.where(theta > 0.0, 0.5 * (_PI - theta), 0.0)
-        return closed - (decay / n) @ np.sin(np.outer(n, theta))
-    return ((1.0 - decay) / n) @ np.sin(np.outer(n, theta))
-
-
-def _half_wave_sum(x: np.ndarray, t: float, cfg: PipelineConfig,
-                   opts: SeriesOptions) -> np.ndarray:
-    """sum_n sin(pi*n*x/L) * (1 - exp(-n^2*rate*t)) / n^3 for x in [0, L]."""
-    theta = _PI * (x / cfg.length_m)
-    out = _sin3_sum(theta, t, opts.decay_rate(cfg), opts)
-    # The half-wave modes vanish identically at both ring ends; force the
-    # exact zeros the truncated trigonometry only approximates.
-    ends = (x == 0.0) | (x == cfg.length_m)
-    if np.any(ends):
-        out = np.where(ends, 0.0, out)
+        out = _CLOSED_FORMS[power](theta) - (decay / n**power) @ trig
+    else:
+        out = ((1.0 - decay) / n**power) @ trig
+    out[times == 0.0] = 0.0
     return out
 
 
-def _response_kernel(x: np.ndarray, t: float, schedule: WithdrawalSchedule,
+def _half_wave_sum(x, times, cfg: PipelineConfig,
+                   opts: SeriesOptions) -> np.ndarray:
+    """sum_n sin(pi*n*x/L) * (1 - exp(-n^2*rate*t)) / n^3 for x in [0, L]."""
+    x, times = _grid(x, times, cfg)
+    out = _mode_sum(_PI * (x / cfg.length_m), times, opts.decay_rate(cfg),
+                    opts, 3)
+    # The half-wave modes vanish identically at both ring ends; force the
+    # exact zeros the truncated trigonometry only approximates.
+    out[:, (x == 0.0) | (x == cfg.length_m)] = 0.0
+    return out
+
+
+def _response_kernel(x, times, schedule: WithdrawalSchedule,
                      cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
-    out = np.zeros_like(x)
-    if t == 0.0 or not schedule.points:
-        return out
+    x, times = _grid(x, times, cfg)
+    out = np.zeros((times.size, x.size))
     length = cfg.length_m
     c_sq = cfg.sound_speed_m_s**2
     rate = opts.decay_rate(cfg)
-    depletion = c_sq * t / length
+    depletion = (c_sq * times / length)[:, None]
     cosine_scale = 2.0 * c_sq / (length * cfg.alpha())
-    for point in schedule.points:
-        angle = 2.0 * _PI * (((x - point.position_m) % length) / length)
-        series = _cos2_sum(angle, t, rate, opts)
-        term = -(depletion + cosine_scale * series) * point.rate
-        if opts.withdrawal_model is WithdrawalModel.HEAVISIDE:
-            term = np.where(x >= point.position_m, term, 0.0)
-        out = out + term
+    # An infinite rate times the zero response of a t = 0 row is NaN; those
+    # rows are zeroed once the rates are applied.
+    with np.errstate(invalid="ignore"):
+        for point in schedule.points:
+            angle = 2.0 * _PI * (((x - point.position_m) % length) / length)
+            series = _mode_sum(angle, times, rate, opts, 2)
+            term = -(depletion + cosine_scale * series) * point.rate
+            if opts.withdrawal_model is WithdrawalModel.HEAVISIDE:
+                term = np.where(x >= point.position_m, term, 0.0)
+            out = out + term
+    out[times == 0.0] = 0.0
     return out
+
+
+def _pressure_field(x, times, schedule: WithdrawalSchedule,
+                    cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
+    coeff = (2.0 * cfg.linearization_a * cfg.base_flow * cfg.length_m) / _PI
+    return (cfg.nominal_pressure() + coeff * _half_wave_sum(x, times, cfg, opts)
+            + _response_kernel(x, times, schedule, cfg, opts))
+
+
+def _unit_drop(x: float, times, x_new: float, cfg: PipelineConfig,
+               opts: SeriesOptions) -> np.ndarray:
+    """Point-mode pressure drop at ``x`` per unit of withdrawal at
+    ``x_new``, per time; the heaviside model has no drop upstream."""
+    unit = WithdrawalSchedule((WithdrawalPoint(x_new, 1.0),))
+    point = replace(opts, withdrawal_model=WithdrawalModel.POINT)
+    return -_response_kernel(x, times, unit, cfg, point)[:, 0]
+
+
+def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
+              opts: SeriesOptions,
+              mode: GradientMode | None = None) -> np.ndarray:
+    """dP/dx without the delta regularization at tap positions."""
+    x, times = _grid(x, times, cfg)
+    rate = opts.decay_rate(cfg)
+    length = cfg.length_m
+    grad = (2.0 * cfg.linearization_a * cfg.base_flow
+            * _mode_sum(_PI * (x / length), times, rate, opts, 2))
+    if (mode or opts.gradient_mode) is GradientMode.FULL:
+        scale = 4.0 * _PI * cfg.sound_speed_m_s**2 / (length**2 * cfg.alpha())
+        with np.errstate(invalid="ignore"):     # as in _response_kernel
+            for point in schedule.points:
+                angle = 2.0 * _PI * (((x - point.position_m) % length)
+                                     / length)
+                term = (scale * point.rate
+                        * _mode_sum(angle, times, rate, opts, 1))
+                if opts.withdrawal_model is WithdrawalModel.HEAVISIDE:
+                    term = np.where(x >= point.position_m, term, 0.0)
+                grad = grad + term
+    grad[times == 0.0] = 0.0
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +188,7 @@ def base_pressure(x: float, t: float, cfg: PipelineConfig,
                   opts: SeriesOptions | None = None) -> float:
     """Pressure of the withdrawal-free ring at position ``x`` and time ``t``."""
     opts = opts or DEFAULT_OPTIONS
-    _check_position(x, cfg)
-    _check_time(t)
-    coeff = (2.0 * cfg.linearization_a * cfg.base_flow * cfg.length_m) / _PI
-    value = _half_wave_sum(np.array([x], dtype=float), t, cfg, opts)[0]
-    return cfg.nominal_pressure() + coeff * float(value)
+    return float(_pressure_field(x, t, EMPTY_SCHEDULE, cfg, opts)[0, 0])
 
 
 def withdrawal_response(x: float, t: float, schedule: WithdrawalSchedule,
@@ -161,17 +200,14 @@ def withdrawal_response(x: float, t: float, schedule: WithdrawalSchedule,
     the whole ring plus a cosine redistribution centred on each tap.
     """
     opts = opts or DEFAULT_OPTIONS
-    _check_position(x, cfg)
-    _check_time(t)
-    value = _response_kernel(np.array([x], dtype=float), t, schedule, cfg, opts)
-    return float(value[0])
+    return float(_response_kernel(x, t, schedule, cfg, opts)[0, 0])
 
 
 def pressure(x: float, t: float, schedule: WithdrawalSchedule,
              cfg: PipelineConfig, opts: SeriesOptions | None = None) -> float:
     """Total pressure: base field plus withdrawal response."""
-    return (base_pressure(x, t, cfg, opts)
-            + withdrawal_response(x, t, schedule, cfg, opts))
+    opts = opts or DEFAULT_OPTIONS
+    return float(_pressure_field(x, t, schedule, cfg, opts)[0, 0])
 
 
 def response_profile(positions, t: float, schedule: WithdrawalSchedule,
@@ -179,11 +215,7 @@ def response_profile(positions, t: float, schedule: WithdrawalSchedule,
                      opts: SeriesOptions | None = None) -> np.ndarray:
     """Vectorized :func:`withdrawal_response` over an array of positions."""
     opts = opts or DEFAULT_OPTIONS
-    x = np.asarray(positions, dtype=float)
-    if x.size and (x.min() < 0.0 or x.max() > cfg.length_m):
-        raise OutOfDomain("profile positions must lie in [0, L]")
-    _check_time(t)
-    return _response_kernel(x, t, schedule, cfg, opts)
+    return _response_kernel(positions, t, schedule, cfg, opts)[0]
 
 
 def continuous_gradient(x: float, t: float, schedule: WithdrawalSchedule,
@@ -195,25 +227,7 @@ def continuous_gradient(x: float, t: float, schedule: WithdrawalSchedule,
     on grid nodes that coincide with a withdrawal.
     """
     opts = opts or DEFAULT_OPTIONS
-    _check_position(x, cfg)
-    _check_time(t)
-    mode = mode or opts.gradient_mode
-    rate = opts.decay_rate(cfg)
-    length = cfg.length_m
-    theta_base = np.array([_PI * (x / length)])
-    grad = (2.0 * cfg.linearization_a * cfg.base_flow
-            * float(_cos2_sum(theta_base, t, rate, opts)[0]))
-    if mode is GradientMode.FULL and schedule.points and t > 0.0:
-        c_sq = cfg.sound_speed_m_s**2
-        scale = 4.0 * _PI * c_sq / (length**2 * cfg.alpha())
-        for point in schedule.points:
-            if (opts.withdrawal_model is WithdrawalModel.HEAVISIDE
-                    and x < point.position_m):
-                continue
-            angle = np.array(
-                [2.0 * _PI * (((x - point.position_m) % length) / length)])
-            grad += scale * point.rate * float(_sin1_sum(angle, t, rate, opts)[0])
-    return grad
+    return float(_gradient(x, t, schedule, cfg, opts, mode)[0, 0])
 
 
 def pressure_gradient(x: float, t: float, schedule: WithdrawalSchedule,
@@ -224,25 +238,15 @@ def pressure_gradient(x: float, t: float, schedule: WithdrawalSchedule,
     The distributional delta carried by each withdrawal makes the gradient
     undefined at the tap itself, so those points are regularized to zero.
     """
-    opts = opts or DEFAULT_OPTIONS
-    _check_position(x, cfg)
-    _check_time(t)
-    if any(p.position_m == x for p in schedule.points):
-        return 0.0
-    return continuous_gradient(x, t, schedule, cfg, opts)
+    grad = continuous_gradient(x, t, schedule, cfg, opts)
+    return 0.0 if any(p.position_m == x for p in schedule.points) else grad
 
-
-# ---------------------------------------------------------------------------
-# Helper sums used by the withdrawal inversion.
-# ---------------------------------------------------------------------------
 
 def s_sin(x: float, t: float, cfg: PipelineConfig,
           opts: SeriesOptions | None = None) -> float:
     """sum_n sin(pi*n*x/L) * (1 - exp(-n^2*rate*t)) / (pi*n^3)."""
     opts = opts or DEFAULT_OPTIONS
-    _check_position(x, cfg)
-    _check_time(t)
-    return float(_half_wave_sum(np.array([x], dtype=float), t, cfg, opts)[0]) / _PI
+    return float(_half_wave_sum(x, t, cfg, opts)[0, 0]) / _PI
 
 
 def s_e(t: float, cfg: PipelineConfig,
@@ -252,8 +256,8 @@ def s_e(t: float, cfg: PipelineConfig,
     Saturates at pi/(6*alpha) as t grows.
     """
     opts = opts or DEFAULT_OPTIONS
-    _check_time(t)
-    value = _cos2_sum(np.array([0.0]), t, opts.decay_rate(cfg), opts)[0]
+    _, times = _grid(0.0, t, cfg)
+    value = _mode_sum(0.0, times, opts.decay_rate(cfg), opts, 2)[0, 0]
     return float(value) / (cfg.alpha() * _PI)
 
 
@@ -298,9 +302,6 @@ def gradient_periodicity_gap(t: float, cfg: PipelineConfig,
     saturates at a*G0*pi^2/2 for the default decay rate.
     """
     opts = opts or DEFAULT_OPTIONS
-    _check_time(t)
-    lo = continuous_gradient(0.0, t, EMPTY_SCHEDULE, cfg, opts,
-                             mode=GradientMode.BASE_ONLY)
-    hi = continuous_gradient(cfg.length_m, t, EMPTY_SCHEDULE, cfg, opts,
-                             mode=GradientMode.BASE_ONLY)
-    return lo - hi
+    lo, hi = _gradient((0.0, cfg.length_m), t, EMPTY_SCHEDULE, cfg, opts,
+                       GradientMode.BASE_ONLY)[0]
+    return float(lo - hi)

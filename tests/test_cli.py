@@ -9,6 +9,10 @@ SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "referenc
 REF = str(SCENARIO_PATH)
 
 
+def data_rows(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -111,6 +115,17 @@ class TestMaxDraw:
         assert code == 2
         assert json.loads(err)["error"] == "InfeasibleConstraint"
 
+    def test_heaviside_scenario_matches_point_mode(self, capsys, tmp_path):
+        # The inlet drop is always taken from the point-mode response.
+        path = tmp_path / "heaviside.yaml"
+        path.write_text(SCENARIO_PATH.read_text()
+                        + "series:\n  withdrawal_model: heaviside\n")
+        argv = ("max-draw", "--pmin", "100000", "--horizon", "300")
+        code, out, err = invoke(capsys, *argv, "--scenario", str(path))
+        assert code == 0 and err == ""
+        _, point, _ = invoke(capsys, *argv, "--scenario", REF)
+        assert data_rows(out) == data_rows(point)
+
 
 class TestClassify:
     def test_twenty_percent_boundary(self, capsys):
@@ -138,6 +153,18 @@ class TestValidate:
                               "--times", "50")
         assert code == 0
         assert "# passed=true" in out
+
+    def test_beyond_tolerance_keeps_table_and_reports(self, capsys):
+        code, out, err = invoke(capsys, "validate", "--scenario", REF,
+                                "--cells", "64", "--dt", "1", "--times", "2")
+        assert code == 3
+        assert "# passed=false" in out
+        assert data_rows(out)[0] == "t_s,rel_l2,max_abs_pa,mean_drop_rel_err"
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ToleranceExceeded"
+        assert "rel_l2" in payload["message"]
+        assert "0.01" in payload["message"]
 
 
 class TestReport:
@@ -209,3 +236,41 @@ class TestPlumbing:
                               "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[-1] == "0,0,125000,0"
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = invoke(capsys, "classify", "--nominal", "125000",
+                                "--current", "100000", "--output",
+                                str(target))
+        assert code == 1 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "FileNotFoundError"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("pressure", "--x", "100", "--time", "nan", "--format", "json"),
+        ("pressure", "--x", "nan", "--time", "50"),
+        ("node", "--time", "inf"),
+        ("gradient-table", "--times", "100,nan"),
+        ("gradient-table", "--times", "100", "--dx", "nan"),
+        ("drawdown", "--levels", "11,inf", "--times", "50"),
+        ("drawdown", "--levels", "11", "--times", "inf"),
+        ("max-draw", "--pmin", "nan", "--horizon", "300"),
+        ("max-draw", "--pmin", "100000", "--horizon", "inf"),
+        ("report", "--pmin", "nan"),
+        ("validate", "--cells", "64", "--dt", "nan", "--times", "2"),
+    ])
+    def test_non_finite_input_is_validation_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--scenario", REF)
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert "error" in json.loads(line)
+
+    def test_non_finite_scenario_number(self, capsys, tmp_path):
+        path = tmp_path / "inf-rate.yaml"
+        path.write_text(SCENARIO_PATH.read_text().replace("rate: 11",
+                                                          "rate: .inf"))
+        code, out, err = invoke(capsys, "pressure", "--scenario", str(path),
+                                "--x", "100", "--time", "50")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValidationError"

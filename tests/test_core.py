@@ -81,6 +81,16 @@ class TestPipelineConfig:
         with pytest.raises(InvalidParameter):
             PipelineConfig(**values)
 
+    @pytest.mark.parametrize("field", ["length_m", "sound_speed_m_s",
+                                       "linearization_a",
+                                       "inlet_pressure_pa", "base_flow"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, cfg, field, value):
+        values = dict(vars(cfg))
+        values[field] = value
+        with pytest.raises(InvalidParameter, match=f"{field} must be finite"):
+            PipelineConfig(**values)
+
     def test_rejects_nonpositive_nominal(self):
         # P1 - a*G0*L = 140000 - 150000 < 0
         with pytest.raises(InvalidParameter):

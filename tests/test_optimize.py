@@ -6,7 +6,8 @@ import pytest
 from ringflow import (Band, InfeasibleConstraint, InvalidParameter,
                       MultipleExtrema, NegativeWithdrawalWarning, NoExtremum,
                       OutOfDomain, SafetyThresholds, SeriesOptions,
-                      WithdrawalSchedule, classify_pressure_drop,
+                      WithdrawalModel, WithdrawalSchedule,
+                      classify_pressure_drop,
                       find_coupling_point, invert_withdrawal,
                       max_admissible_withdrawal, pressure_at_coupling,
                       tap_pressure)
@@ -50,7 +51,12 @@ class TestFindCouplingPoint:
         with pytest.raises(OutOfDomain):
             find_coupling_point(-5.0, schedule, cfg)
 
-    @pytest.mark.parametrize("step", [0.0, -10.0, 30000.0])
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, cfg, schedule, t):
+        with pytest.raises(OutOfDomain):
+            find_coupling_point(t, schedule, cfg)
+
+    @pytest.mark.parametrize("step", [0.0, -10.0, 30000.0, math.nan])
     def test_bad_grid_step_rejected(self, cfg, schedule, step):
         with pytest.raises(InvalidParameter):
             find_coupling_point(100.0, schedule, cfg, grid_step=step)
@@ -131,6 +137,11 @@ class TestInvertWithdrawal:
         with pytest.raises(InvalidParameter):
             invert_withdrawal(120000.0, 0.0, 12000.0, cfg)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_requires_finite_time(self, cfg, t):
+        with pytest.raises(InvalidParameter):
+            invert_withdrawal(120000.0, t, 12000.0, cfg)
+
 
 class TestMaxAdmissibleWithdrawal:
     def test_reference_anchor(self, cfg):
@@ -146,6 +157,14 @@ class TestMaxAdmissibleWithdrawal:
         bisect = max_admissible_withdrawal(300.0, 100000.0, None, 12000.0,
                                            cfg, method="bisection")
         assert bisect.total == pytest.approx(affine.total, rel=1e-4)
+
+    def test_bisection_terminates_for_huge_totals(self, cfg):
+        # After 2 s the drop has barely reached the inlet: the admissible
+        # total (~1e12) is too large for floating point to resolve 1e-6.
+        affine = max_admissible_withdrawal(2.0, 100000.0, None, 15000.0, cfg)
+        bisect = max_admissible_withdrawal(2.0, 100000.0, None, 15000.0,
+                                           cfg, method="bisection")
+        assert bisect.total == pytest.approx(affine.total, rel=1e-9)
 
     def test_floor_at_nominal_means_zero(self, cfg):
         got = max_admissible_withdrawal(300.0, 125000.0, None, 12000.0, cfg)
@@ -181,6 +200,20 @@ class TestMaxAdmissibleWithdrawal:
         with pytest.raises(InvalidParameter):
             max_admissible_withdrawal(300.0, 100000.0, None, 12000.0, cfg,
                                       method="newton")
+
+    @pytest.mark.parametrize("horizon,p_min", [
+        (math.nan, 100000.0), (math.inf, 100000.0),
+        (300.0, math.nan), (300.0, -math.inf)])
+    def test_rejects_non_finite(self, cfg, horizon, p_min):
+        with pytest.raises(InvalidParameter, match="finite"):
+            max_admissible_withdrawal(horizon, p_min, None, 12000.0, cfg)
+
+    def test_heaviside_uses_point_mode_drop(self, cfg):
+        heaviside = SeriesOptions(withdrawal_model=WithdrawalModel.HEAVISIDE)
+        got = max_admissible_withdrawal(300.0, 100000.0, None, 12000.0, cfg,
+                                        heaviside)
+        assert got == max_admissible_withdrawal(300.0, 100000.0, None,
+                                                12000.0, cfg)
 
 
 class TestClassifyPressureDrop:

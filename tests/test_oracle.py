@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -28,6 +30,12 @@ class TestOracleGrid:
         with pytest.raises(InvalidParameter):
             OracleGrid(cells=128, dt_s=1.0, horizon_s=0.5)
 
+    @pytest.mark.parametrize("dt,horizon", [(math.nan, 10.0), (math.inf, 10.0),
+                                            (0.1, math.nan), (0.1, math.inf)])
+    def test_rejects_non_finite(self, dt, horizon):
+        with pytest.raises(InvalidParameter, match="finite"):
+            OracleGrid(cells=128, dt_s=dt, horizon_s=horizon)
+
 
 class TestSimulate:
     def test_empty_schedule_stays_uniform(self, cfg):
@@ -36,6 +44,11 @@ class TestSimulate:
         for snap in run.snapshots:
             assert np.allclose(snap, cfg.nominal_pressure(),
                                rtol=0.0, atol=1e-4)
+
+    def test_rejects_infinite_rate(self, cfg):
+        sinks = WithdrawalSchedule.from_pairs([(12000.0, math.inf)])
+        with pytest.raises(InvalidParameter, match="finite"):
+            simulate(cfg, sinks, QUICK, [20.0])
 
     def test_snapshot_bookkeeping(self, quick_run):
         assert quick_run.times == [20.0, 60.0]

@@ -1,0 +1,178 @@
+"""Property tests of the (times x positions) field kernel.
+
+Random rings, withdrawal schedules, series options, positions and times:
+every array cell matches its scalar wrapper, t = 0 rows are exactly zero,
+the heaviside gate acts identically on both paths, and the withdrawal
+inversion round-trips in both decay modes.  Superposition and ring closure
+are covered by the acceptance tests.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ringflow.series as series
+from ringflow import (DecayMode, GradientMode, NegativeWithdrawalWarning,
+                      PipelineConfig, SeriesOptions, WithdrawalModel,
+                      WithdrawalSchedule, invert_withdrawal,
+                      pressure_at_coupling)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def rings(draw):
+    length = draw(st.floats(5000.0, 60000.0))
+    a = draw(st.floats(0.01, 0.2))
+    base_flow = draw(st.floats(0.0, 20.0))
+    return PipelineConfig(
+        length_m=length,
+        sound_speed_m_s=draw(st.floats(300.0, 420.0)),
+        linearization_a=a,
+        inlet_pressure_pa=a * base_flow * length
+        + draw(st.floats(5.0e4, 2.0e5)),
+        base_flow=base_flow)
+
+
+@st.composite
+def schedules(draw, cfg):
+    fractions = draw(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=3,
+                              unique=True))
+    positions = sorted({f * cfg.length_m for f in fractions})
+    return WithdrawalSchedule.from_pairs(
+        (x, draw(st.floats(0.0, 20.0))) for x in positions)
+
+
+def options(**fixed):
+    values = dict(
+        truncation_n=st.integers(1, 100),
+        decay_mode=st.sampled_from(DecayMode),
+        withdrawal_model=st.sampled_from(WithdrawalModel),
+        gradient_mode=st.sampled_from(GradientMode),
+        closed_form_acceleration=st.booleans())
+    values.update({k: st.just(v) for k, v in fixed.items()})
+    return st.builds(SeriesOptions, **values)
+
+
+times = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 600.0)),
+                 min_size=1, max_size=4)
+
+
+@st.composite
+def problems(draw, max_positions, **fixed):
+    cfg = draw(rings())
+    schedule = draw(schedules(cfg))
+    fractions = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        min_size=1, max_size=max_positions))
+    taps = [p.position_m for p in schedule.points]
+    xs = [f * cfg.length_m for f in fractions] + taps[:1]
+    return cfg, schedule, draw(options(**fixed)), np.array(xs), draw(times)
+
+
+def scales(cfg, schedule, ts):
+    """Magnitudes of the pressure, response and gradient terms."""
+    total = schedule.total()
+    c_sq = cfg.sound_speed_m_s**2
+    response = total * (c_sq * max(ts) / cfg.length_m
+                        + 2.0 * c_sq / (cfg.length_m * cfg.alpha()))
+    gradient = (cfg.linearization_a * cfg.base_flow * math.pi**2
+                + 4.0 * math.pi * c_sq * total
+                / (cfg.length_m**2 * cfg.alpha()))
+    return cfg.inlet_pressure_pa + response, response, gradient
+
+
+@SETTINGS
+@given(problems(max_positions=12))
+def test_array_cells_match_scalar_wrappers(problem):
+    cfg, schedule, opts, xs, ts = problem
+    p_scale, r_scale, g_scale = scales(cfg, schedule, ts)
+    field = series._pressure_field(xs, ts, schedule, cfg, opts)
+    response = series._response_kernel(xs, ts, schedule, cfg, opts)
+    gradient = series._gradient(xs, ts, schedule, cfg, opts)
+    assert field.shape == response.shape == gradient.shape \
+        == (len(ts), len(xs))
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            assert abs(field[i, j] - series.pressure(
+                x, t, schedule, cfg, opts)) <= 1e-12 * p_scale
+            assert abs(response[i, j] - series.withdrawal_response(
+                x, t, schedule, cfg, opts)) <= 1e-12 * r_scale
+            assert abs(gradient[i, j] - series.continuous_gradient(
+                x, t, schedule, cfg, opts)) <= 1e-12 * g_scale
+
+
+@SETTINGS
+@given(problems(max_positions=200), st.integers(1, 3))
+def test_t0_rows_are_exactly_zero(problem, power):
+    cfg, schedule, opts, xs, ts = problem
+    ts = ts + [0.0]
+    zero = np.array(ts) == 0.0
+    theta = 2.0 * math.pi * xs / cfg.length_m
+    sums = series._mode_sum(theta, ts, opts.decay_rate(cfg), opts, power)
+    assert np.all(sums[zero] == 0.0)
+    assert np.all(series._response_kernel(xs, ts, schedule, cfg, opts)[zero]
+                  == 0.0)
+    assert np.all(series._gradient(xs, ts, schedule, cfg, opts,
+                                   GradientMode.FULL)[zero] == 0.0)
+    assert np.all(series._pressure_field(xs, ts, schedule, cfg, opts)[zero]
+                  == cfg.nominal_pressure())
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_blocked_kernel_matches_one_matrix(monkeypatch, power):
+    theta = np.linspace(0.0, 2.0 * math.pi, 301)
+    times = [0.0, 0.5, 40.0]
+    opts = SeriesOptions(truncation_n=70)
+    whole = series._mode_sum(theta, times, 0.06, opts, power)
+    monkeypatch.setattr(series, "_TRIG_ELEMENTS", 1000)
+    blocked = series._mode_sum(theta, times, 0.06, opts, power)
+    assert np.allclose(blocked, whole, rtol=0.0, atol=1e-13)
+    # A single angle with more modes than one block holds is one block.
+    monkeypatch.setattr(series, "_TRIG_ELEMENTS", 10)
+    assert series._mode_sum(theta[7], times, 0.06, opts, power)[:, 0] \
+        == pytest.approx(whole[:, 7], rel=0.0, abs=1e-13)
+
+
+@SETTINGS
+@given(problems(max_positions=12,
+                withdrawal_model=WithdrawalModel.HEAVISIDE,
+                gradient_mode=GradientMode.FULL))
+def test_heaviside_gate_is_the_same_on_both_paths(problem):
+    # At x the gated field carries exactly the taps at or upstream of x.
+    cfg, schedule, opts, xs, ts = problem
+    _, r_scale, g_scale = scales(cfg, schedule, ts)
+    response = series._response_kernel(xs, ts, schedule, cfg, opts)
+    gradient = series._gradient(xs, ts, schedule, cfg, opts)
+    for j, x in enumerate(xs):
+        reached = WithdrawalSchedule(
+            tuple(p for p in schedule.points if x >= p.position_m))
+        if not reached.points:
+            assert np.all(response[:, j] == 0.0)
+        for i, t in enumerate(ts):
+            scalar = series.withdrawal_response(x, t, schedule, cfg, opts)
+            assert scalar == series.withdrawal_response(x, t, reached, cfg,
+                                                        opts)
+            assert abs(response[i, j] - scalar) <= 1e-12 * r_scale
+            scalar = series.continuous_gradient(x, t, schedule, cfg, opts)
+            assert scalar == series.continuous_gradient(x, t, reached, cfg,
+                                                        opts)
+            assert abs(gradient[i, j] - scalar) <= 1e-12 * g_scale
+
+
+@SETTINGS
+@given(rings(), st.sampled_from(DecayMode), st.floats(0.001, 0.999),
+       st.floats(0.05, 600.0), st.floats(0.0, 50.0))
+def test_inversion_round_trip(cfg, decay_mode, fraction, t, g_new):
+    opts = SeriesOptions(decay_mode=decay_mode)
+    x_new = fraction * cfg.length_m
+    target = pressure_at_coupling(t, g_new, x_new, cfg, opts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeWithdrawalWarning)
+        back = invert_withdrawal(target, t, x_new, cfg, opts)
+    assert back == pytest.approx(g_new,
+                                 abs=1e-8 * (1.0 + cfg.base_flow + g_new))

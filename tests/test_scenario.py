@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from ringflow import (DISCREPANCIES, InfeasibleConstraint, InvalidParameter,
-                      ParseError, ValidationError, admissible_table,
+                      OutOfDomain, ParseError, ValidationError,
+                      admissible_table,
                       build_report, drawdown_table, dump_scenario, emit,
                       gradient_table, load_scenario)
 from ringflow.scenario import ProfileTable
@@ -89,6 +91,17 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="out of range"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("old,new", [
+        ("length_m: 30000", "length_m: .nan"),
+        ("base_flow: 10", "base_flow: .inf"),
+    ])
+    def test_non_finite_number(self, old, new):
+        with pytest.raises(ValidationError, match="finite"):
+            load_scenario(MINIMAL.replace(old, new))
+        bad = MINIMAL + "withdrawals:\n- position_m: 100\n  rate: .inf\n"
+        with pytest.raises(ValidationError, match=r"withdrawals\[0\]\.rate"):
+            load_scenario(bad)
+
     def test_invalid_physical_value_is_prefixed(self):
         broken = MINIMAL.replace("length_m: 30000", "length_m: -1")
         with pytest.raises(ValidationError, match="pipeline"):
@@ -133,6 +146,16 @@ class TestGradientTable:
         with pytest.raises(InvalidParameter):
             gradient_table(scenario, [100.0], 7001.0)
 
+    @pytest.mark.parametrize("dx", [math.nan, math.inf])
+    def test_rejects_non_finite_dx(self, scenario, dx):
+        with pytest.raises(InvalidParameter):
+            gradient_table(scenario, [100.0], dx)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, scenario, t):
+        with pytest.raises(OutOfDomain):
+            gradient_table(scenario, [100.0, t], 1000.0)
+
     def test_metadata_attribution(self, scenario):
         table = gradient_table(scenario, [100.0], 1000.0)
         assert table.metadata["scenario"] == scenario.scenario_hash()
@@ -161,6 +184,16 @@ class TestDrawdownTable:
     def test_negative_level_rejected(self, scenario):
         with pytest.raises(InvalidParameter):
             drawdown_table(scenario, [0.0], [50.0], [-1.0])
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_rejected(self, scenario, level):
+        with pytest.raises(InvalidParameter):
+            drawdown_table(scenario, [0.0], [50.0], [level])
+
+    @pytest.mark.parametrize("x,t", [(math.nan, 50.0), (0.0, math.inf)])
+    def test_rejects_non_finite_point(self, scenario, x, t):
+        with pytest.raises(OutOfDomain):
+            drawdown_table(scenario, [x], [t], [11.0])
 
     def test_explicit_tap_override(self, scenario):
         table = drawdown_table(scenario, [0.0], [50.0], [11.0], tap_m=9000.0)
@@ -195,6 +228,15 @@ class TestAdmissibleTable:
     def test_requires_positive_times(self, scenario):
         with pytest.raises(InvalidParameter):
             admissible_table(scenario, [0.0], 100000.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_requires_finite_times(self, scenario, t):
+        with pytest.raises(InvalidParameter):
+            admissible_table(scenario, [t], 100000.0)
+
+    def test_rejects_non_finite_floor(self, scenario):
+        with pytest.raises(InvalidParameter, match="finite"):
+            admissible_table(scenario, [300.0], math.nan)
 
     def test_self_consistency_note(self, scenario):
         table = admissible_table(scenario, [300.0], 100000.0)

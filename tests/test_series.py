@@ -38,6 +38,19 @@ class TestBasePressure:
         with pytest.raises(OutOfDomain):
             base_pressure(1000.0, -1.0, cfg)
 
+    @pytest.mark.parametrize("x,t", [(math.nan, 10.0), (1000.0, math.nan),
+                                     (1000.0, math.inf), (1000.0, -math.inf)])
+    def test_rejects_non_finite(self, cfg, schedule, x, t):
+        for evaluate in (lambda: base_pressure(x, t, cfg),
+                         lambda: pressure(x, t, schedule, cfg),
+                         lambda: withdrawal_response(x, t, schedule, cfg),
+                         lambda: pressure_gradient(x, t, schedule, cfg),
+                         lambda: s_sin(x, t, cfg),
+                         lambda: series.response_profile([x], t, schedule,
+                                                         cfg)):
+            with pytest.raises(OutOfDomain):
+                evaluate()
+
     @pytest.mark.parametrize("x,t", [(5000.0, 30.0), (12000.0, 300.0),
                                      (22000.0, 120.0)])
     def test_acceleration_matches_partial_sums(self, cfg, x, t):
@@ -52,6 +65,9 @@ class TestWithdrawalResponse:
     @pytest.mark.parametrize("x", [0.0, 6000.0, 12000.0, 25000.0])
     def test_zero_at_t0(self, cfg, schedule, x):
         assert withdrawal_response(x, 0.0, schedule, cfg) == 0.0
+        flood = WithdrawalSchedule.from_pairs([(12000.0, math.inf)])
+        assert withdrawal_response(x, 0.0, flood, cfg) == 0.0
+        assert pressure(x, 0.0, flood, cfg) == cfg.nominal_pressure()
 
     def test_inlet_anchor(self, cfg, schedule):
         got = withdrawal_response(0.0, 50.0, schedule, cfg)
@@ -140,6 +156,9 @@ class TestPressureGradient:
     @pytest.mark.parametrize("x", [0.0, 8000.0, 19000.0, 30000.0])
     def test_zero_at_t0(self, cfg, schedule, x):
         assert pressure_gradient(x, 0.0, schedule, cfg) == 0.0
+        flood = WithdrawalSchedule.from_pairs([(12000.0, math.inf)])
+        full = SeriesOptions(gradient_mode=series.GradientMode.FULL)
+        assert series.continuous_gradient(x, 0.0, flood, cfg, full) == 0.0
 
     def test_published_anchors(self, cfg, empty_schedule):
         assert pressure_gradient(0.0, 100.0, empty_schedule, cfg) == \

@@ -11,8 +11,8 @@ from .core import (DecayMode, GradientMode, PipelineConfig, SafetyThresholds,
                    WithdrawalSchedule, derive_linearization)
 from .errors import (ConvergenceFailure, InfeasibleConstraint,
                      InvalidParameter, MultipleExtrema,
-                     NegativeWithdrawalWarning, NoExtremum, OutOfDomain,
-                     ParseError, RingflowError, ValidationError)
+                     NegativeWithdrawalWarning, NoExtremum, NonFiniteResult,
+                     OutOfDomain, ParseError, RingflowError, ValidationError)
 from .optimize import (AdmissibleWithdrawal, Band, CouplingPoint,
                        DropClassification, classify_pressure_drop,
                        find_coupling_point, invert_withdrawal,
@@ -43,6 +43,7 @@ __all__ = [
     "MultipleExtrema",
     "NegativeWithdrawalWarning",
     "NoExtremum",
+    "NonFiniteResult",
     "OracleComparison",
     "OracleGrid",
     "OracleRun",

@@ -8,7 +8,8 @@ The scenario path may also come from the RINGFLOW_SCENARIO environment
 variable.  Numeric results are emitted as CSV (default) or JSON via
 --format; CSV lines starting with '#' carry key=value metadata.  Exit
 codes: 0 success, 1 usage or parse problem, 2 validation failure,
-3 numerical failure (no extremum, solver residual, tolerance exceeded).
+3 numerical failure (no extremum, solver residual, tolerance exceeded, a
+non-finite number in JSON output).
 Errors print one JSON object per line on standard error.
 """
 
@@ -26,8 +27,8 @@ from .optimize import (classify_pressure_drop, find_coupling_point,
                        max_admissible_withdrawal)
 from .oracle import OracleGrid, compare_with_series, simulate
 from .scenario import (ProfileTable, Scenario, admissible_table,
-                       build_report, drawdown_table, dump_scenario, emit,
-                       gradient_table, load_scenario)
+                       build_report, drawdown_table, dump_json,
+                       dump_scenario, emit, gradient_table, load_scenario)
 from .series import sample
 
 EXIT_OK = 0
@@ -322,7 +323,7 @@ def _cmd_validate(inv, ns):
 def _cmd_report(inv, ns):
     scenario = _load(inv)
     bundle = build_report(scenario, coupling_time_s=ns.time, p_min=ns.pmin)
-    return json.dumps(bundle, sort_keys=True, indent=2) + "\n", None
+    return dump_json(bundle), None
 
 
 def _cmd_echo_config(inv, ns):

@@ -37,6 +37,10 @@ class ConvergenceFailure(RingflowError, ArithmeticError):
     """A linear solve produced a residual above the accepted tolerance."""
 
 
+class NonFiniteResult(RingflowError, ArithmeticError):
+    """A result holds a NaN or an infinity, which JSON output cannot carry."""
+
+
 class ParseError(RingflowError, ValueError):
     """The scenario document is not syntactically valid."""
 

@@ -40,8 +40,8 @@ import yaml
 from .core import (DecayMode, GradientMode, PipelineConfig, SafetyThresholds,
                    SeriesOptions, WithdrawalModel, WithdrawalPoint,
                    WithdrawalSchedule)
-from .errors import (InfeasibleConstraint, InvalidParameter, ParseError,
-                     ValidationError)
+from .errors import (InfeasibleConstraint, InvalidParameter, NonFiniteResult,
+                     ParseError, ValidationError)
 from .optimize import find_coupling_point, tap_pressure
 from .series import _gradient, _pressure_field, _unit_drop
 
@@ -430,6 +430,15 @@ def table_payload(table: ProfileTable) -> dict:
     }
 
 
+def dump_json(payload) -> str:
+    """Deterministic JSON text; a NaN or infinity raises NonFiniteResult."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"result is not valid JSON: {exc}") from None
+    return text + "\n"
+
+
 def emit(table: ProfileTable, fmt: str = "csv") -> str:
     """Render a table deterministically as CSV or JSON text."""
     if fmt == "csv":
@@ -440,8 +449,7 @@ def emit(table: ProfileTable, fmt: str = "csv") -> str:
                      for row in table.rows)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(table_payload(table), sort_keys=True,
-                          indent=2) + "\n"
+        return dump_json(table_payload(table))
     raise InvalidParameter(f"unknown table format {fmt!r}")
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ringflow import oracle
 from ringflow.cli import run
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
@@ -167,6 +168,18 @@ class TestValidate:
         assert "0.01" in payload["message"]
 
 
+    def test_residual_failure_is_one_json_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "RESIDUAL_LIMIT", 0.0)
+        code, out, err = invoke(capsys, "validate", "--scenario", REF,
+                                "--cells", "64", "--dt", "1", "--times", "2")
+        assert code == 3
+        assert out == ""
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConvergenceFailure"
+        assert "at step" in payload["message"]
+
+
 class TestReport:
     def test_bundle(self, capsys):
         code, out, _ = invoke(capsys, "report", "--scenario", REF)
@@ -180,6 +193,19 @@ class TestReport:
         _, first, _ = invoke(capsys, "report", "--scenario", REF)
         _, second, _ = invoke(capsys, "report", "--scenario", REF)
         assert first == second
+
+
+class TestNonFiniteJson:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_time_is_numerical_failure(self, capsys):
+        # c^2 * t overflows, so the pressure is -inf: not representable
+        code, out, err = invoke(capsys, "pressure", "--scenario", REF,
+                                "--x", "0", "--time", "1e308",
+                                "--format", "json")
+        assert code == 3
+        assert out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "NonFiniteResult"
 
 
 class TestEchoConfig:

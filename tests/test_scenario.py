@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from ringflow import (DISCREPANCIES, InfeasibleConstraint, InvalidParameter,
-                      OutOfDomain, ParseError, ValidationError,
+                      NonFiniteResult, OutOfDomain, ParseError,
+                      RingflowError, ValidationError,
                       admissible_table,
                       build_report, drawdown_table, dump_scenario, emit,
                       gradient_table, load_scenario)
@@ -282,6 +283,21 @@ class TestEmit:
     def test_unknown_format(self, scenario):
         with pytest.raises(InvalidParameter):
             emit(gradient_table(scenario, [100.0], 1000.0), "xml")
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_cell(self, cell):
+        table = ProfileTable(axis="time_scan", columns=("t_s", "p_pa"),
+                             rows=((1.0, cell),), metadata={})
+        with pytest.raises(NonFiniteResult, match="not valid JSON"):
+            emit(table, "json")
+        assert issubclass(NonFiniteResult, RingflowError)
+        assert issubclass(NonFiniteResult, ArithmeticError)
+
+    def test_json_refuses_non_finite_metadata(self):
+        table = ProfileTable(axis="time_scan", columns=("t_s",),
+                             rows=((1.0,),), metadata={"bound": math.nan})
+        with pytest.raises(NonFiniteResult):
+            emit(table, "json")
 
 
 class TestReport:

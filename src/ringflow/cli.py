@@ -9,7 +9,7 @@ variable.  Numeric results are emitted as CSV (default) or JSON via
 --format; CSV lines starting with '#' carry key=value metadata.  Exit
 codes: 0 success, 1 usage or parse problem, 2 validation failure,
 3 numerical failure (no extremum, solver residual, tolerance exceeded, a
-non-finite number in JSON output).
+non-finite number in the output).
 Errors print one JSON object per line on standard error.
 """
 
@@ -19,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from .core import SafetyThresholds
 from .errors import ParseError, RingflowError
@@ -54,16 +55,6 @@ class ToleranceExceeded(RingflowError, ArithmeticError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):          # argparse would call sys.exit(2)
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """Parsed shared flags of one CLI call."""
-
-    subcommand: str
-    scenario_path: str | None
-    fmt: str
-    output: str | None
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -176,26 +167,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _invocation(ns: argparse.Namespace) -> CliInvocation:
-    return CliInvocation(
-        subcommand=ns.subcommand,
-        scenario_path=getattr(ns, "scenario", None)
-        or os.environ.get(SCENARIO_ENV),
-        fmt=getattr(ns, "format", "csv"),
-        output=getattr(ns, "output", None),
-    )
+def _scenario_path(ns) -> str | None:
+    return ns.scenario or os.environ.get(SCENARIO_ENV)
 
 
-def _load(inv: CliInvocation) -> Scenario:
-    if not inv.scenario_path:
+def _load(ns) -> Scenario:
+    path = _scenario_path(ns)
+    if not path:
         raise UsageError("no scenario given; pass --scenario or set "
                          f"{SCENARIO_ENV}")
     try:
-        with open(inv.scenario_path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise UsageError(
-            f"cannot read scenario {inv.scenario_path!r}: {exc}") from exc
+        raise UsageError(f"cannot read scenario {path!r}: {exc}") from exc
     return load_scenario(text)
 
 
@@ -209,8 +194,8 @@ def _one_row_table(scenario: Scenario | None, columns, row,
                         rows=(tuple(row),), metadata=metadata)
 
 
-def _cmd_node(inv, ns):
-    scenario = _load(inv)
+def _cmd_node(ns):
+    scenario = _load(ns)
     point = find_coupling_point(
         ns.time, scenario.schedule, scenario.pipeline, scenario.series,
         grid_step=ns.grid_step,
@@ -220,29 +205,29 @@ def _cmd_node(inv, ns):
         (point.position_m, point.pressure_pa, point.time_s, True),
         {"grid_step_m": ns.grid_step,
          "include_withdrawals": ns.include_withdrawals})
-    return emit(table, inv.fmt), None
+    return emit(table, ns.format), None
 
 
-def _cmd_pressure(inv, ns):
-    scenario = _load(inv)
+def _cmd_pressure(ns):
+    scenario = _load(ns)
     result = sample(ns.x, ns.time, scenario.schedule, scenario.pipeline,
                     scenario.series)
     table = _one_row_table(
         scenario, ("x_m", "t_s", "p_pa", "dP_dx_pa_per_m"),
         (result.position_m, result.time_s, result.pressure_pa,
          result.gradient_pa_per_m))
-    return emit(table, inv.fmt), None
+    return emit(table, ns.format), None
 
 
-def _cmd_gradient_table(inv, ns):
-    scenario = _load(inv)
+def _cmd_gradient_table(ns):
+    scenario = _load(ns)
     times = _float_list(ns.times, "--times")
     table = gradient_table(scenario, times, ns.dx)
-    return emit(table, inv.fmt), None
+    return emit(table, ns.format), None
 
 
-def _cmd_drawdown(inv, ns):
-    scenario = _load(inv)
+def _cmd_drawdown(ns):
+    scenario = _load(ns)
     levels = _float_list(ns.levels, "--levels")
     times = _float_list(ns.times, "--times")
     tap = ns.at if ns.at is not None else scenario.tap_position()
@@ -251,11 +236,11 @@ def _cmd_drawdown(inv, ns):
     else:
         positions = [0.0, tap]
     table = drawdown_table(scenario, positions, times, levels, tap_m=tap)
-    return emit(table, inv.fmt), None
+    return emit(table, ns.format), None
 
 
-def _cmd_max_draw(inv, ns):
-    scenario = _load(inv)
+def _cmd_max_draw(ns):
+    scenario = _load(ns)
     cfg = scenario.pipeline
     tap = ns.at if ns.at is not None else scenario.tap_position()
     result = max_admissible_withdrawal(
@@ -272,25 +257,25 @@ def _cmd_max_draw(inv, ns):
          result.inlet_pressure_pa, result.per_unit_drop_pa,
          verdict.drop_fraction, verdict.band.value),
         {"tap_m": tap, "p_min_pa": ns.pmin, "method": ns.method})
-    return emit(table, inv.fmt), None
+    return emit(table, ns.format), None
 
 
-def _cmd_classify(inv, ns):
+def _cmd_classify(ns):
     thresholds = SafetyThresholds()
     scenario = None
-    if inv.scenario_path:
-        scenario = _load(inv)
+    if _scenario_path(ns):
+        scenario = _load(ns)
         thresholds = scenario.safety
     verdict = classify_pressure_drop(ns.nominal, ns.current, thresholds)
     table = _one_row_table(
         scenario, ("nominal_pa", "current_pa", "drop_fraction", "band"),
         (ns.nominal, ns.current, verdict.drop_fraction,
          verdict.band.value))
-    return emit(table, inv.fmt), None
+    return emit(table, ns.format), None
 
 
-def _cmd_validate(inv, ns):
-    scenario = _load(inv)
+def _cmd_validate(ns):
+    scenario = _load(ns)
     times = _float_list(ns.times, "--times")
     if not times:
         raise UsageError("--times: at least one snapshot time is required")
@@ -315,19 +300,19 @@ def _cmd_validate(inv, ns):
                   "mean_limit": VALIDATE_MEAN_LIMIT,
                   "max_residual_rel": run.max_residual_rel,
                   "passed": passed})
-    return emit(table, inv.fmt), None if passed else ToleranceExceeded(
+    return emit(table, ns.format), None if passed else ToleranceExceeded(
         f"worst rel_l2 {l2:.6g} (limit {VALIDATE_L2_LIMIT:g}), worst "
         f"mean_drop_rel_err {mean:.6g} (limit {VALIDATE_MEAN_LIMIT:g})")
 
 
-def _cmd_report(inv, ns):
-    scenario = _load(inv)
+def _cmd_report(ns):
+    scenario = _load(ns)
     bundle = build_report(scenario, coupling_time_s=ns.time, p_min=ns.pmin)
     return dump_json(bundle), None
 
 
-def _cmd_echo_config(inv, ns):
-    return dump_scenario(_load(inv)), None
+def _cmd_echo_config(ns):
+    return dump_scenario(_load(ns)), None
 
 
 _HANDLERS = {
@@ -363,10 +348,12 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        inv = _invocation(ns)
-        text, failure = _HANDLERS[ns.subcommand](inv, ns)
-        if inv.output:
-            with open(inv.output, "w", encoding="utf-8") as handle:
+        # An overflow reaches the output as inf and fails as
+        # NonFiniteResult; numpy's warning would be a second stderr line.
+        with np.errstate(all="ignore"):
+            text, failure = _HANDLERS[ns.subcommand](ns)
+        if ns.output:
+            with open(ns.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)

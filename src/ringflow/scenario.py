@@ -21,37 +21,61 @@ A scenario is a YAML document with four top-level sections::
       permissible_max: 0.20
       unsafe_min: 0.25
 
-Unknown keys are rejected with the offending dotted path.  Emitted tables
-are deterministic (6 significant digits, '.' decimal separator, LF line
-endings) and embed the scenario hash plus the series options so results
-stay attributable.
+The keys, their order, types and defaults come from one table,
+``_SECTIONS``, which ``load_scenario`` and ``Scenario.normalized`` (and so
+``dump_scenario`` and ``scenario_hash``) read.  Unknown keys are rejected
+with the offending dotted path.  Emitted tables are deterministic (6
+significant digits, '.' decimal separator, LF line endings) and embed the
+scenario hash plus the series options so results stay attributable.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 import yaml
 
-from .core import (DecayMode, GradientMode, PipelineConfig, SafetyThresholds,
-                   SeriesOptions, WithdrawalModel, WithdrawalPoint,
-                   WithdrawalSchedule)
+from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
+                   WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
 from .errors import (InfeasibleConstraint, InvalidParameter, NonFiniteResult,
                      ParseError, ValidationError)
 from .optimize import find_coupling_point, tap_pressure
 from .series import _gradient, _pressure_field, _unit_drop
 
-_PIPELINE_KEYS = ("length_m", "sound_speed_m_s", "linearization_a_per_s",
-                  "inlet_pressure_pa", "base_flow")
-_WITHDRAWAL_KEYS = ("position_m", "rate")
-_SERIES_KEYS = ("truncation", "decay_mode", "withdrawal_model",
-                "gradient_mode", "closed_form_acceleration")
-_SAFETY_KEYS = ("optimal_max", "permissible_max", "unsafe_min")
-_TOP_KEYS = ("pipeline", "withdrawals", "series", "safety")
+#: The scenario format.  Each section names the dataclass it builds and
+#: maps its YAML keys, in document order, to that dataclass's fields.  A
+#: field's default sets its key's type (enum: one of its values, then bool,
+#: int, float); a field without one is a required finite number.
+_SECTIONS = {
+    "pipeline": (PipelineConfig, {
+        "length_m": "length_m",
+        "sound_speed_m_s": "sound_speed_m_s",
+        "linearization_a_per_s": "linearization_a",
+        "inlet_pressure_pa": "inlet_pressure_pa",
+        "base_flow": "base_flow",
+    }),
+    "withdrawals": (WithdrawalPoint, {
+        "position_m": "position_m",
+        "rate": "rate",
+    }),
+    "series": (SeriesOptions, {
+        "truncation": "truncation_n",
+        "decay_mode": "decay_mode",
+        "withdrawal_model": "withdrawal_model",
+        "gradient_mode": "gradient_mode",
+        "closed_form_acceleration": "closed_form_acceleration",
+    }),
+    "safety": (SafetyThresholds, {
+        "optimal_max": "optimal_max",
+        "permissible_max": "permissible_max",
+        "unsafe_min": "unsafe_min",
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -70,45 +94,54 @@ def _reject_unknown(node: dict, allowed, path: str) -> None:
             raise ValidationError(f"{path}.{key}: unknown key")
 
 
-def _number(node: dict, key: str, path: str) -> float:
-    if key not in node:
-        raise ValidationError(f"{path}.{key}: missing required key")
-    value = node[key]
+def _read(value, default, path: str):
+    """One scalar, typed by the default of the field it fills."""
+    if isinstance(default, enum.Enum):
+        try:
+            return type(default)(value)
+        except ValueError:
+            options = ", ".join(m.value for m in type(default))
+            raise ValidationError(
+                f"{path}: expected one of {options}") from None
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValidationError(f"{path}: expected a boolean")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{path}: expected an integer")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number")
+        raise ValidationError(f"{path}: expected a number")
     if not math.isfinite(value):
-        raise ValidationError(f"{path}.{key}: expected a finite number")
+        raise ValidationError(f"{path}: expected a finite number")
     return float(value)
 
 
-def _integer(node: dict, key: str, default: int, path: str) -> int:
-    if key not in node:
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}.{key}: expected an integer")
-    return value
-
-
-def _boolean(node: dict, key: str, default: bool, path: str) -> bool:
-    if key not in node:
-        return default
-    value = node[key]
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}.{key}: expected a boolean")
-    return value
-
-
-def _choice(node: dict, key: str, enum_cls, default, path: str):
-    if key not in node:
-        return default
-    value = node[key]
+def _section(node, section: str, path: str):
+    """Build one section's dataclass from its mapping, keys in table order."""
+    cls, keys = _SECTIONS[section]
+    node = _require_mapping(node, path)
+    _reject_unknown(node, keys, path)
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, name in keys.items():
+        if key in node:
+            values[name] = _read(node[key], defaults[name], f"{path}.{key}")
+        elif defaults[name] is MISSING:
+            raise ValidationError(f"{path}.{key}: missing required key")
     try:
-        return enum_cls(value)
-    except ValueError:
-        options = ", ".join(m.value for m in enum_cls)
-        raise ValidationError(
-            f"{path}.{key}: expected one of {options}") from None
+        return cls(**values)
+    except InvalidParameter as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _plain(obj, section: str) -> dict:
+    """One section's plain-data form, keys in table order."""
+    values = {key: getattr(obj, name)
+              for key, name in _SECTIONS[section][1].items()}
+    return {key: value.value if isinstance(value, enum.Enum) else value
+            for key, value in values.items()}
 
 
 @dataclass(frozen=True)
@@ -135,30 +168,11 @@ class Scenario:
     def normalized(self) -> dict:
         """Plain-data form with every default made explicit."""
         return {
-            "pipeline": {
-                "length_m": self.pipeline.length_m,
-                "sound_speed_m_s": self.pipeline.sound_speed_m_s,
-                "linearization_a_per_s": self.pipeline.linearization_a,
-                "inlet_pressure_pa": self.pipeline.inlet_pressure_pa,
-                "base_flow": self.pipeline.base_flow,
-            },
-            "withdrawals": [
-                {"position_m": p.position_m, "rate": p.rate}
-                for p in self.schedule.points
-            ],
-            "series": {
-                "truncation": self.series.truncation_n,
-                "decay_mode": self.series.decay_mode.value,
-                "withdrawal_model": self.series.withdrawal_model.value,
-                "gradient_mode": self.series.gradient_mode.value,
-                "closed_form_acceleration":
-                    self.series.closed_form_acceleration,
-            },
-            "safety": {
-                "optimal_max": self.safety.optimal_max,
-                "permissible_max": self.safety.permissible_max,
-                "unsafe_min": self.safety.unsafe_min,
-            },
+            "pipeline": _plain(self.pipeline, "pipeline"),
+            "withdrawals": [_plain(p, "withdrawals")
+                            for p in self.schedule.points],
+            "series": _plain(self.series, "series"),
+            "safety": _plain(self.safety, "safety"),
         }
 
     def scenario_hash(self) -> str:
@@ -176,81 +190,27 @@ def load_scenario(text: str) -> Scenario:
     if document is None:
         raise ValidationError("top level: document is empty")
     document = _require_mapping(document, "top level")
-    _reject_unknown(document, _TOP_KEYS, "scenario")
+    _reject_unknown(document, _SECTIONS, "scenario")
 
     if "pipeline" not in document:
         raise ValidationError("pipeline: missing required section")
-    pipe = _require_mapping(document["pipeline"], "pipeline")
-    _reject_unknown(pipe, _PIPELINE_KEYS, "pipeline")
-    try:
-        pipeline = PipelineConfig(
-            length_m=_number(pipe, "length_m", "pipeline"),
-            sound_speed_m_s=_number(pipe, "sound_speed_m_s", "pipeline"),
-            linearization_a=_number(pipe, "linearization_a_per_s",
-                                    "pipeline"),
-            inlet_pressure_pa=_number(pipe, "inlet_pressure_pa", "pipeline"),
-            base_flow=_number(pipe, "base_flow", "pipeline"),
-        )
-    except InvalidParameter as exc:
-        raise ValidationError(f"pipeline: {exc}") from exc
+    pipeline = _section(document["pipeline"], "pipeline", "pipeline")
 
     raw_points = document.get("withdrawals", [])
     if not isinstance(raw_points, list):
         raise ValidationError("withdrawals: expected a list")
-    points = []
-    for i, entry in enumerate(raw_points):
-        path = f"withdrawals[{i}]"
-        node = _require_mapping(entry, path)
-        _reject_unknown(node, _WITHDRAWAL_KEYS, path)
-        try:
-            points.append(WithdrawalPoint(
-                position_m=_number(node, "position_m", path),
-                rate=_number(node, "rate", path),
-            ))
-        except InvalidParameter as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+    points = tuple(_section(entry, "withdrawals", f"withdrawals[{i}]")
+                   for i, entry in enumerate(raw_points))
     try:
-        schedule = WithdrawalSchedule(tuple(points))
+        schedule = WithdrawalSchedule(points)
         schedule.check_positions(pipeline.length_m)
     except InvalidParameter as exc:
         raise ValidationError(f"withdrawals: {exc}") from exc
 
-    node = _require_mapping(document.get("series", {}), "series")
-    _reject_unknown(node, _SERIES_KEYS, "series")
-    defaults = SeriesOptions()
-    try:
-        series = SeriesOptions(
-            truncation_n=_integer(node, "truncation",
-                                  defaults.truncation_n, "series"),
-            decay_mode=_choice(node, "decay_mode", DecayMode,
-                               defaults.decay_mode, "series"),
-            withdrawal_model=_choice(node, "withdrawal_model",
-                                     WithdrawalModel,
-                                     defaults.withdrawal_model, "series"),
-            gradient_mode=_choice(node, "gradient_mode", GradientMode,
-                                  defaults.gradient_mode, "series"),
-            closed_form_acceleration=_boolean(
-                node, "closed_form_acceleration",
-                defaults.closed_form_acceleration, "series"),
-        )
-    except InvalidParameter as exc:
-        raise ValidationError(f"series: {exc}") from exc
-
-    node = _require_mapping(document.get("safety", {}), "safety")
-    _reject_unknown(node, _SAFETY_KEYS, "safety")
-    base = SafetyThresholds()
-    values = {
-        key: (_number(node, key, "safety") if key in node
-              else getattr(base, key))
-        for key in _SAFETY_KEYS
-    }
-    try:
-        safety = SafetyThresholds(**values)
-    except InvalidParameter as exc:
-        raise ValidationError(f"safety: {exc}") from exc
-
-    return Scenario(pipeline=pipeline, schedule=schedule,
-                    series=series, safety=safety)
+    return Scenario(
+        pipeline=pipeline, schedule=schedule,
+        series=_section(document.get("series", {}), "series", "series"),
+        safety=_section(document.get("safety", {}), "safety", "safety"))
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -278,15 +238,8 @@ class ProfileTable:
 
 
 def _base_metadata(scenario: Scenario) -> dict:
-    opts = scenario.series
-    return {
-        "scenario": scenario.scenario_hash(),
-        "truncation": opts.truncation_n,
-        "decay_mode": opts.decay_mode.value,
-        "withdrawal_model": opts.withdrawal_model.value,
-        "gradient_mode": opts.gradient_mode.value,
-        "closed_form_acceleration": opts.closed_form_acceleration,
-    }
+    return {"scenario": scenario.scenario_hash(),
+            **_plain(scenario.series, "series")}
 
 
 def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
@@ -401,6 +354,8 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"result is not finite: {value}")
         text = format(float(value), ".6g")
         return "0" if text == "-0" else text
     return str(value)
@@ -440,7 +395,8 @@ def dump_json(payload) -> str:
 
 
 def emit(table: ProfileTable, fmt: str = "csv") -> str:
-    """Render a table deterministically as CSV or JSON text."""
+    """Render a table deterministically as CSV or JSON text; a NaN or
+    infinity in a cell or in the metadata raises NonFiniteResult."""
     if fmt == "csv":
         lines = [f"# {key}={_format_cell(value)}"
                  for key, value in sorted(table.metadata.items())]
@@ -528,24 +484,24 @@ DISCREPANCIES = (
 )
 
 
+#: Report table grids, those of the reference scenario.
+_REPORT_GRADIENT_TIMES = (100.0, 200.0)
+_REPORT_GRADIENT_DX = 1000.0
+_REPORT_DRAWDOWN_TIMES = (0.0, 50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
+_REPORT_ADMISSIBLE_TIMES = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
+
+
 def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
-                 gradient_times=(100.0, 200.0), gradient_dx: float = 1000.0,
-                 drawdown_times=(0.0, 50.0, 100.0, 150.0, 200.0, 250.0,
-                                 300.0),
-                 drawdown_levels=None,
-                 admissible_times=(50.0, 100.0, 150.0, 200.0, 250.0, 300.0),
                  p_min: float | None = None) -> dict:
     """Full bundle: key numbers, all tables, and the discrepancy ledger.
 
-    Defaults mirror the reference scenario: withdrawal levels step up by
-    1 from the scheduled total and the inlet floor is 80 percent of
-    nominal (the 20 percent drop rule).
+    The drawdown levels step up by 1 from the scheduled total, and the
+    inlet floor defaults to 80 percent of nominal (the 20 percent drop
+    rule).
     """
     cfg = scenario.pipeline
     tap = scenario.tap_position()
-    if drawdown_levels is None:
-        start = scenario.schedule.total()
-        drawdown_levels = tuple(start + k for k in range(4))
+    start = scenario.schedule.total()
     if p_min is None:
         p_min = 0.8 * cfg.nominal_pressure()
     coupling = find_coupling_point(coupling_time_s, scenario.schedule, cfg,
@@ -564,13 +520,13 @@ def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
             "configured_tap_m": _json_value(tap),
         },
         "tables": {
-            "gradient": table_payload(
-                gradient_table(scenario, gradient_times, gradient_dx)),
-            "drawdown": table_payload(
-                drawdown_table(scenario, (0.0, tap), drawdown_times,
-                               drawdown_levels)),
-            "admissible": table_payload(
-                admissible_table(scenario, admissible_times, p_min)),
+            "gradient": table_payload(gradient_table(
+                scenario, _REPORT_GRADIENT_TIMES, _REPORT_GRADIENT_DX)),
+            "drawdown": table_payload(drawdown_table(
+                scenario, (0.0, tap), _REPORT_DRAWDOWN_TIMES,
+                tuple(start + k for k in range(4)))),
+            "admissible": table_payload(admissible_table(
+                scenario, _REPORT_ADMISSIBLE_TIMES, p_min)),
         },
         "discrepancies": [dict(record) for record in DISCREPANCIES],
     }

@@ -196,16 +196,18 @@ class TestReport:
 
 
 class TestNonFiniteJson:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_time_is_numerical_failure(self, capsys):
-        # c^2 * t overflows, so the pressure is -inf: not representable
-        code, out, err = invoke(capsys, "pressure", "--scenario", REF,
-                                "--x", "0", "--time", "1e308",
-                                "--format", "json")
-        assert code == 3
-        assert out == ""
-        line, = err.splitlines()
-        assert json.loads(line)["error"] == "NonFiniteResult"
+        # c^2 * t overflows, so the pressure is -inf: not representable,
+        # and numpy's overflow warning must not reach stderr either
+        for fmt in ("csv", "json"):
+            code, out, err = invoke(capsys, "pressure", "--scenario", REF,
+                                    "--x", "0", "--time", "1e308",
+                                    "--format", fmt)
+            assert code == 3
+            assert out == ""
+            line, = err.splitlines()
+            assert json.loads(line)["error"] == "NonFiniteResult"
 
 
 class TestEchoConfig:

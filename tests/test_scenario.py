@@ -1,13 +1,20 @@
+import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringflow import (DISCREPANCIES, InfeasibleConstraint, InvalidParameter,
+from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
+                      InfeasibleConstraint, InvalidParameter,
                       NonFiniteResult, OutOfDomain, ParseError,
-                      RingflowError, ValidationError,
-                      admissible_table,
+                      PipelineConfig, RingflowError, SafetyThresholds,
+                      Scenario, SeriesOptions, ValidationError,
+                      WithdrawalModel, WithdrawalSchedule, admissible_table,
                       build_report, drawdown_table, dump_scenario, emit,
                       gradient_table, load_scenario)
 from ringflow.scenario import ProfileTable
@@ -117,6 +124,90 @@ class TestLoadScenario:
         again = load_scenario(dump_scenario(scenario))
         assert again.normalized() == scenario.normalized()
         assert again.scenario_hash() == scenario.scenario_hash()
+
+
+#: A document that sets every key, each to its default where it has one.
+FULL = {
+    "pipeline": {"length_m": 30000.0, "sound_speed_m_s": 383.3,
+                 "linearization_a_per_s": 0.05,
+                 "inlet_pressure_pa": 140000.0, "base_flow": 10.0},
+    "withdrawals": [{"position_m": 12000.0, "rate": 11.0}],
+    "series": {"truncation": 100, "decay_mode": "alpha",
+               "withdrawal_model": "point", "gradient_mode": "base_only",
+               "closed_form_acceleration": True},
+    "safety": {"optimal_max": 0.10, "permissible_max": 0.20,
+               "unsafe_min": 0.25},
+}
+REQUIRED = ("pipeline", "withdrawals[0]")
+
+
+def _parent(document: dict, path: str) -> dict:
+    return (document["withdrawals"][0] if path == "withdrawals[0]"
+            else document[path])
+
+
+@st.composite
+def scenarios(draw):
+    length = draw(st.floats(1.0, 1.0e6))
+    a = draw(st.floats(1.0e-4, 10.0))
+    base_flow = draw(st.floats(0.0, 100.0))
+    pipeline = PipelineConfig(
+        length_m=length, sound_speed_m_s=draw(st.floats(1.0, 2000.0)),
+        linearization_a=a,
+        inlet_pressure_pa=a * base_flow * length
+        + draw(st.floats(1.0, 1.0e7)),
+        base_flow=base_flow)
+    fractions = draw(st.lists(st.floats(0.0, 0.999), min_size=1,
+                              max_size=3, unique=True))
+    schedule = WithdrawalSchedule.from_pairs(
+        (x, draw(st.floats(0.0, 1.0e3)))
+        for x in sorted({f * length for f in fractions}))
+    series = draw(st.builds(
+        SeriesOptions, truncation_n=st.integers(1, 1000),
+        decay_mode=st.sampled_from(DecayMode),
+        withdrawal_model=st.sampled_from(WithdrawalModel),
+        gradient_mode=st.sampled_from(GradientMode),
+        closed_form_acceleration=st.booleans()))
+    bands = sorted(draw(st.lists(st.floats(1.0e-6, 0.999), min_size=3,
+                                 max_size=3)))
+    return Scenario(pipeline, schedule, series, SafetyThresholds(*bands))
+
+
+class TestFormat:
+    def test_full_document_dumps_as_written(self):
+        text = yaml.safe_dump(FULL, sort_keys=False)
+        assert dump_scenario(load_scenario(text)) == text
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(scenarios())
+    def test_load_inverts_dump(self, scenario):
+        assert load_scenario(dump_scenario(scenario)) == scenario
+
+    @pytest.mark.parametrize("path", [
+        "pipeline.length_m", "pipeline.sound_speed_m_s",
+        "pipeline.linearization_a_per_s", "pipeline.inlet_pressure_pa",
+        "pipeline.base_flow",
+        "withdrawals[0].position_m", "withdrawals[0].rate",
+        "series.truncation", "series.decay_mode", "series.withdrawal_model",
+        "series.gradient_mode", "series.closed_form_acceleration",
+        "safety.optimal_max", "safety.permissible_max", "safety.unsafe_min",
+    ])
+    def test_every_key_is_typed_and_path_qualified(self, path):
+        parent, key = path.rsplit(".", 1)
+        document = copy.deepcopy(FULL)
+        _parent(document, parent)[key] = "wrong"
+        with pytest.raises(ValidationError,
+                           match=re.escape(path) + ": expected "):
+            load_scenario(yaml.safe_dump(document))
+        del _parent(document, parent)[key]
+        text = yaml.safe_dump(document)
+        if parent in REQUIRED:
+            with pytest.raises(ValidationError, match=re.escape(path)
+                               + ": missing required key"):
+                load_scenario(text)
+        else:       # an omitted key takes its default, as written in FULL
+            assert load_scenario(text) == load_scenario(
+                yaml.safe_dump(FULL))
 
 
 class TestGradientTable:
@@ -284,20 +375,26 @@ class TestEmit:
         with pytest.raises(InvalidParameter):
             emit(gradient_table(scenario, [100.0], 1000.0), "xml")
 
-    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
-    def test_json_refuses_non_finite_cell(self, cell):
+    # The json cases keep their bare ids ("nan", ...).
+    @pytest.mark.parametrize("fmt,cell", [
+        pytest.param(fmt, cell, id=f"{prefix}{cell}")
+        for fmt, prefix in (("json", ""), ("csv", "csv-"))
+        for cell in (math.nan, math.inf, -math.inf)])
+    def test_json_refuses_non_finite_cell(self, fmt, cell):
         table = ProfileTable(axis="time_scan", columns=("t_s", "p_pa"),
                              rows=((1.0, cell),), metadata={})
-        with pytest.raises(NonFiniteResult, match="not valid JSON"):
-            emit(table, "json")
+        message = "not valid JSON" if fmt == "json" else "not finite"
+        with pytest.raises(NonFiniteResult, match=message):
+            emit(table, fmt)
         assert issubclass(NonFiniteResult, RingflowError)
         assert issubclass(NonFiniteResult, ArithmeticError)
 
-    def test_json_refuses_non_finite_metadata(self):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_json_refuses_non_finite_metadata(self, fmt):
         table = ProfileTable(axis="time_scan", columns=("t_s",),
                              rows=((1.0,),), metadata={"bound": math.nan})
         with pytest.raises(NonFiniteResult):
-            emit(table, "json")
+            emit(table, fmt)
 
 
 class TestReport:

@@ -29,6 +29,9 @@ POSITION_TOLERANCE_M = 0.01
 #: as a fraction of the ring length.
 CURVATURE_STEP_FRACTION = 1.0 / 3000.0
 
+#: Times at which the max-draw inlet drop is sampled over the horizon.
+TIME_SAMPLES = 240
+
 
 @dataclass(frozen=True)
 class CouplingPoint:
@@ -64,9 +67,10 @@ class DropClassification:
 
 
 def _bisect_root(grad, lo: float, hi: float) -> float:
+    """Bisect a + to - crossing of ``grad`` (positions -> gradient row)."""
     while hi - lo > POSITION_TOLERANCE_M:
         mid = 0.5 * (lo + hi)
-        value = grad(mid)
+        value = grad(mid)[0]
         if value > 0.0:
             lo = mid
         elif value < 0.0:
@@ -74,6 +78,11 @@ def _bisect_root(grad, lo: float, hi: float) -> float:
         else:
             return mid
     return 0.5 * (lo + hi)
+
+
+def _check_tap(x_new: float, cfg: PipelineConfig) -> None:
+    if not 0.0 < x_new < cfg.length_m:
+        raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
 
 
 def find_coupling_point(t: float, schedule: WithdrawalSchedule,
@@ -96,19 +105,16 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
 
     # The base, pre-connection field by default; with include_withdrawals
     # the full gradient of the loaded field.
-    if include_withdrawals:
-        sched, mode = schedule, GradientMode.FULL
-    else:
-        sched, mode = series.EMPTY_SCHEDULE, GradientMode.BASE_ONLY
+    sched = schedule if include_withdrawals else series.EMPTY_SCHEDULE
 
-    def grad(x: float) -> float:
-        return series.continuous_gradient(x, t, sched, cfg, opts, mode=mode)
+    def grad(x) -> np.ndarray:
+        return series._gradient(x, t, sched, cfg, opts, GradientMode.FULL)[0]
 
     def field(x: float) -> float:
         return series.pressure(x, t, sched, cfg, opts)
 
     xs = np.arange(grid_step, cfg.length_m, grid_step)
-    values = series._gradient(xs, t, sched, cfg, opts, mode)[0]
+    values = grad(xs)
     definite = values != 0.0              # zeros carry the last sign
     xs, values = xs[definite], values[definite]
     falls = np.flatnonzero((values[:-1] > 0.0) & (values[1:] < 0.0))
@@ -123,11 +129,12 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
 
     root = roots[0]
     h = cfg.length_m * CURVATURE_STEP_FRACTION
-    curvature = field(root + h) - 2.0 * field(root) + field(root - h)
+    peak = field(root)
+    curvature = field(root + h) - 2.0 * peak + field(root - h)
     if curvature >= 0.0:
         raise NoExtremum(
             f"stationary point at {root:.2f} m failed the concavity check")
-    return CouplingPoint(position_m=root, pressure_pa=field(root), time_s=t)
+    return CouplingPoint(position_m=root, pressure_pa=peak, time_s=t)
 
 
 def tap_pressure(total: float, t: float, x_new: float,
@@ -139,17 +146,15 @@ def tap_pressure(total: float, t: float, x_new: float,
     there: the full series evaluated at its own tap.
     """
     opts = opts or series.DEFAULT_OPTIONS
-    return (series.base_pressure(x_new, t, cfg, opts)
-            - total * float(series._unit_drop(x_new, t, x_new, cfg, opts)[0]))
+    drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0, 0])
+    return series.base_pressure(x_new, t, cfg, opts) - total * drop
 
 
 def pressure_at_coupling(t: float, g_new: float, x_new: float,
                          cfg: PipelineConfig,
                          opts: SeriesOptions | None = None) -> float:
     """Tap pressure once the base flow plus ``g_new`` is drawn at ``x_new``."""
-    opts = opts or series.DEFAULT_OPTIONS
-    if not 0.0 < x_new < cfg.length_m:
-        raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
+    _check_tap(x_new, cfg)
     if not 0.0 <= g_new < math.inf:
         raise InvalidParameter("g_new must be finite and >= 0")
     return tap_pressure(cfg.base_flow + g_new, t, x_new, cfg, opts)
@@ -167,15 +172,14 @@ def invert_withdrawal(p_target: float, t: float, x_new: float,
     formula, which does not round-trip and is kept only for comparison.
     """
     opts = opts or series.DEFAULT_OPTIONS
-    if not 0.0 < x_new < cfg.length_m:
-        raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
+    _check_tap(x_new, cfg)
     if not 0.0 < t < math.inf:
         raise InvalidParameter("inversion requires a finite t > 0")
     if printed_form:
         drop = (cfg.sound_speed_m_s**2 / cfg.length_m
                 * (t + 2.0 * series.s_e(t, cfg, opts)))
     else:
-        drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0])
+        drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0, 0])
     base = series.base_pressure(x_new, t, cfg, opts)
     g_new = (base - p_target) / drop - cfg.base_flow
     if g_new < 0.0:
@@ -186,12 +190,26 @@ def invert_withdrawal(p_target: float, t: float, x_new: float,
     return g_new
 
 
+def _inlet_floor(p_min: float, x_new: float, times, cfg: PipelineConfig,
+                 opts: SeriesOptions) -> tuple[float, np.ndarray]:
+    """Budget nominal - p_min and the point-mode inlet drops per unit."""
+    _check_tap(x_new, cfg)
+    if not math.isfinite(p_min):
+        raise InvalidParameter("p_min must be finite")
+    nominal = cfg.nominal_pressure()
+    if p_min > nominal:
+        raise InfeasibleConstraint(
+            f"pressure floor {p_min:g} Pa exceeds the nominal level "
+            f"{nominal:g} Pa; even zero withdrawal violates it")
+    drops = series._unit_drop(0.0, times, x_new, cfg, opts)[:, 0]
+    return nominal - p_min, drops
+
+
 def max_admissible_withdrawal(horizon_s: float, p_min: float,
                               g_max: float | None, x_new: float,
                               cfg: PipelineConfig,
                               opts: SeriesOptions | None = None,
-                              method: str = "affine",
-                              time_samples: int = 240) -> AdmissibleWithdrawal:
+                              method: str = "affine") -> AdmissibleWithdrawal:
     """Largest total withdrawal at ``x_new`` keeping P(0, t) >= p_min.
 
     The inlet pressure is nominal minus the withdrawal total times a
@@ -201,34 +219,22 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
     to 1e-6 flow units, or as far as floating point can split the bracket
     (totals above about 1e9), and exists as a cross-check.
 
-    D(t) is checked for monotone growth on the sample grid; if that ever
-    failed, the sampled maximum would be used as the binding point.  As in
-    the admissible table, D(t) is evaluated in point mode whatever the
-    withdrawal model.
+    D(t) is checked for monotone growth on :data:`TIME_SAMPLES` times up
+    to the horizon; if that ever failed, the sampled maximum would be used
+    as the binding point.  As in the admissible table, D(t) is evaluated in
+    point mode whatever the withdrawal model.
     """
     opts = opts or series.DEFAULT_OPTIONS
     if not 0.0 < horizon_s < math.inf:
         raise InvalidParameter("horizon_s must be finite and > 0")
-    if not 0.0 < x_new < cfg.length_m:
-        raise OutOfDomain(f"tap position {x_new:g} outside (0, L)")
     if g_max is not None and g_max < 0.0:
         raise InvalidParameter("g_max must be >= 0 or None")
-    if time_samples < 2:
-        raise InvalidParameter("time_samples must be >= 2")
-    if not math.isfinite(p_min):
-        raise InvalidParameter("p_min must be finite")
+    times = horizon_s * np.arange(1, TIME_SAMPLES + 1) / TIME_SAMPLES
+    budget, drops = _inlet_floor(p_min, x_new, times, cfg, opts)
     nominal = cfg.nominal_pressure()
-    if p_min > nominal:
-        raise InfeasibleConstraint(
-            f"pressure floor {p_min:g} Pa exceeds the nominal level "
-            f"{nominal:g} Pa; even zero withdrawal violates it")
-
-    times = horizon_s * np.arange(1, time_samples + 1) / time_samples
-    drops = series._unit_drop(0.0, times, x_new, cfg, opts)
     monotone = bool(np.all(np.diff(drops) >= -1e-9 * abs(drops[-1])))
     bind = len(drops) - 1 if monotone else int(np.argmax(drops))
     drop_max = float(drops[bind])
-    budget = nominal - p_min
 
     if method == "affine":
         total = budget / drop_max

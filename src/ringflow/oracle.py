@@ -25,18 +25,19 @@ correction, in place in preallocated buffers.  That is the arithmetic of a
 banded ``gtsv`` solve per step in the same order, so the results are the
 same bit for bit.  Every step's residual is checked against 1e-10 of the
 right-hand-side scale.  scipy is imported only when a solver is built.
+The forcing and the comparison mask place a tap by one rule, ``_tap_node``;
+the comparison takes every snapshot's reference from one point-mode call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PipelineConfig, SeriesOptions, WithdrawalModel,
-                   WithdrawalSchedule)
+from .core import PipelineConfig, SeriesOptions, WithdrawalSchedule
 from .errors import ConvergenceFailure, InvalidParameter
-from .series import DEFAULT_OPTIONS, response_profile
+from .series import DEFAULT_OPTIONS, _point_response
 
 RESIDUAL_LIMIT = 1e-10
 
@@ -156,6 +157,11 @@ def _neighbour_sum(v: np.ndarray, out: np.ndarray) -> None:
     out[-1] = v[-2] + v[0]
 
 
+def _tap_node(position_m: float, dx: float, n: int) -> int:
+    """Node nearest a tap; a tap in the last half cell rounds to node 0."""
+    return int(np.floor(position_m / dx + 0.5)) % n
+
+
 def _max_abs(v: np.ndarray, work: np.ndarray) -> float:
     """np.max(np.abs(v)) without the Python-level wrapper of np.max."""
     return float(np.maximum.reduce(np.abs(v, out=work)))
@@ -188,8 +194,7 @@ def simulate(cfg: PipelineConfig, schedule: WithdrawalSchedule,
     c_sq = cfg.sound_speed_m_s**2
     forcing = np.zeros(n)
     for point in schedule.points:
-        j = int(np.floor(point.position_m / dx + 0.5)) % n
-        forcing[j] += c_sq * point.rate / dx
+        forcing[_tap_node(point.position_m, dx, n)] += c_sq * point.rate / dx
     dt_forcing = dt * forcing
 
     diff = cfg.diffusivity()
@@ -257,10 +262,17 @@ def comparison_mask(cfg: PipelineConfig, schedule: WithdrawalSchedule,
     mask = np.ones(n, dtype=bool)
     index = np.arange(n)
     for point in schedule.points:
-        j = int(np.floor(point.position_m / dx + 0.5)) % n
+        j = _tap_node(point.position_m, dx, n)
         dist = np.abs((index - j + n // 2) % n - n // 2)
         mask &= dist > EXCLUSION_RADIUS_CELLS
     return mask
+
+
+def _relative(error: float, scale: float) -> float:
+    """error / scale, where 0 / 0 is 0 and any other error over 0 is inf."""
+    if scale > 0.0:
+        return error / scale
+    return 0.0 if error == 0.0 else float("inf")
 
 
 def compare_with_series(run: OracleRun, cfg: PipelineConfig,
@@ -269,39 +281,30 @@ def compare_with_series(run: OracleRun, cfg: PipelineConfig,
     """Error metrics of the run against the analytical point-mode field.
 
     The reference is ``nominal + withdrawal_response`` in point mode (the
-    oracle has no analogue of the one-sided heaviside gating).  Relative L2
+    oracle has no analogue of the one-sided heaviside gating), taken for
+    every snapshot from one (times x positions) evaluation.  Relative L2
     is normalized by the response magnitude, the quantity actually being
     validated, and cells within :data:`EXCLUSION_RADIUS_CELLS` of a sink
     are excluded.  The ring-mean drop is checked against c^2*t*sum(G)/L.
     """
-    opts = opts or DEFAULT_OPTIONS
-    opts = replace(opts, withdrawal_model=WithdrawalModel.POINT)
     mask = comparison_mask(cfg, schedule, run.grid)
     c_sq = cfg.sound_speed_m_s**2
     total = schedule.total()
+    references = run.nominal_pa + _point_response(
+        run.positions, run.times, schedule, cfg, opts or DEFAULT_OPTIONS)
 
     entries: list[SnapshotError] = []
-    for t, snap in zip(run.times, run.snapshots):
-        reference = run.nominal_pa + response_profile(
-            run.positions, t, schedule, cfg, opts)
+    for t, snap, reference in zip(run.times, run.snapshots, references):
         diff = snap[mask] - reference[mask]
         scale = float(np.linalg.norm(reference[mask] - run.nominal_pa))
-        norm = float(np.linalg.norm(diff))
-        if scale > 0.0:
-            rel_l2 = norm / scale
-        else:
-            rel_l2 = 0.0 if norm == 0.0 else float("inf")
         expected_drop = -c_sq * t * total / cfg.length_m
         actual_drop = float(snap.mean()) - run.nominal_pa
-        if expected_drop != 0.0:
-            mean_err = (actual_drop - expected_drop) / abs(expected_drop)
-        else:
-            mean_err = 0.0 if actual_drop == 0.0 else float("inf")
         entries.append(SnapshotError(
             time_s=t,
-            rel_l2=rel_l2,
+            rel_l2=_relative(float(np.linalg.norm(diff)), scale),
             max_abs_pa=float(np.max(np.abs(diff))) if diff.size else 0.0,
-            mean_drop_rel_err=mean_err,
+            mean_drop_rel_err=_relative(actual_drop - expected_drop,
+                                        abs(expected_drop)),
         ))
 
     return OracleComparison(

@@ -35,17 +35,19 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+import sys
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
 
 from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
-from .errors import (InfeasibleConstraint, InvalidParameter, NonFiniteResult,
-                     ParseError, ValidationError)
-from .optimize import find_coupling_point, tap_pressure
-from .series import _gradient, _pressure_field, _unit_drop
+from .errors import (InvalidParameter, NonFiniteResult, ParseError,
+                     ValidationError)
+from .optimize import _inlet_floor, find_coupling_point, tap_pressure
+from .series import (EMPTY_SCHEDULE, _pressure_field, _regularized_gradient,
+                     _unit_drop)
 
 #: The scenario format.  Each section names the dataclass it builds and
 #: maps its YAML keys, in document order, to that dataclass's fields.  A
@@ -113,7 +115,8 @@ def _read(value, default, path: str):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number")
-    if not math.isfinite(value):
+    # Exact for integers too: math.isfinite raises on one beyond the floats.
+    if not abs(value) <= sys.float_info.max:
         raise ValidationError(f"{path}: expected a finite number")
     return float(value)
 
@@ -256,9 +259,8 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
         raise InvalidParameter(
             f"dx {dx:g} does not divide ring length {cfg.length_m:g}")
     positions = [i * dx for i in range(int(round(steps)) + 1)]
-    grad = _gradient(positions, t_list, scenario.schedule, cfg,
-                     scenario.series)
-    grad[:, np.isin(positions, [p.position_m for p in scenario.schedule])] = 0.0
+    grad = _regularized_gradient(positions, t_list, scenario.schedule, cfg,
+                                 scenario.series)
     rows = tuple((x, t, value)
                  for x, column in zip(positions, grad.T.tolist())
                  for t, value in zip(t_list, column))
@@ -282,18 +284,17 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
     if not 0.0 <= tap < cfg.length_m:
         raise InvalidParameter(
             f"tap position {tap:g} out of range [0, {cfg.length_m:g})")
-    opts = replace(scenario.series,
-                   withdrawal_model=WithdrawalModel.POINT)
     for g in g_levels:
         if not 0.0 <= g < math.inf:
             raise InvalidParameter(f"withdrawal level {g:g} outside [0, inf)")
-    blocks = [_pressure_field(x_list, t_list,
-                              WithdrawalSchedule.from_pairs([(tap, g)]),
-                              cfg, opts).tolist()
-              for g in g_levels]
-    rows = [(x, t, g, p) for i, t in enumerate(t_list)
-            for g, block in zip(g_levels, blocks)
-            for x, p in zip(x_list, block[i])]
+    base = _pressure_field(x_list, t_list, EMPTY_SCHEDULE, cfg,
+                           scenario.series)
+    drop = _unit_drop(x_list, t_list, tap, cfg, scenario.series)
+    levels = np.asarray(g_levels, dtype=float)[:, None]
+    blocks = (base[:, None] - levels * drop[:, None]).tolist()
+    rows = [(x, t, g, p) for t, block in zip(t_list, blocks)
+            for g, row in zip(g_levels, block)
+            for x, p in zip(x_list, row)]
     metadata = _base_metadata(scenario)
     metadata["tap_m"] = tap
     metadata["withdrawal_model"] = WithdrawalModel.POINT.value
@@ -302,8 +303,7 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
                         rows=tuple(rows), metadata=metadata)
 
 
-def admissible_table(scenario: Scenario, t_list, p_min: float,
-                     tap_m: float | None = None) -> ProfileTable:
+def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
     """Largest total withdrawal keeping the inlet at or above p_min,
     per time, with the junction pressure that withdrawal implies.
 
@@ -312,21 +312,11 @@ def admissible_table(scenario: Scenario, t_list, p_min: float,
     discrepancy record).
     """
     cfg = scenario.pipeline
-    tap = scenario.tap_position() if tap_m is None else tap_m
-    if not 0.0 < tap < cfg.length_m:
-        raise InvalidParameter(
-            f"tap position {tap:g} out of range (0, {cfg.length_m:g})")
-    if not math.isfinite(p_min):
-        raise InvalidParameter("p_min must be finite")
-    nominal = cfg.nominal_pressure()
-    if p_min > nominal:
-        raise InfeasibleConstraint(
-            f"p_min {p_min:g} exceeds the nominal pressure {nominal:g}")
+    tap = scenario.tap_position()
     for t in t_list:
         if not 0.0 < t < math.inf:
             raise InvalidParameter("admissible table requires a finite t > 0")
-    budget = nominal - p_min
-    drops = _unit_drop(0.0, t_list, tap, cfg, scenario.series)
+    budget, drops = _inlet_floor(p_min, tap, t_list, cfg, scenario.series)
     rows = []
     for t, per_unit_drop in zip(t_list, drops.tolist()):
         if per_unit_drop <= 0.0:

@@ -18,9 +18,12 @@ odd p, cos for even p) for a vector of times and a vector of angles u in
 [0, 2*pi] as a (times x angles) array whose rows at t = 0 are exactly zero.
 The field and its gradient are (times x positions) arrays built on it; they
 check their positions and times against [0, L] and [0, inf), so the public
-scalar functions only read one cell.  The plain route sums ``truncation_n``
-terms.  The accelerated route (default) takes the time-independent part of
-each sum from its exact closed form,
+scalar functions only read one cell.  ``_add_taps`` is the one tap loop (of
+the response and the gradient), ``_point_response`` the one point-mode
+response (per-unit drops, the inlet floor, the oracle's references) and
+``_regularized_gradient`` the one gradient that is 0 at taps.  The plain
+route sums ``truncation_n`` terms.  The accelerated route (default) takes
+the time-independent part of each sum from its exact closed form,
 
     sum_n sin(n*u)/n^3 = u*(pi - u)*(2*pi - u)/12
     sum_n cos(n*u)/n^2 = pi^2/6 - pi*u/2 + u^2/4
@@ -117,27 +120,33 @@ def _half_wave_sum(x, times, cfg: PipelineConfig,
     return out
 
 
-def _response_kernel(x, times, schedule: WithdrawalSchedule,
-                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
-    x, times = _grid(x, times, cfg)
-    out = np.zeros((times.size, x.size))
+def _add_taps(out, x, times, schedule: WithdrawalSchedule,
+              cfg: PipelineConfig, opts: SeriesOptions, power: int, term):
+    """Add term(mode sum from each tap, its rate) into ``out``, then zero
+    the t = 0 rows, where an infinite rate times a zero sum gives NaN."""
     length = cfg.length_m
-    c_sq = cfg.sound_speed_m_s**2
     rate = opts.decay_rate(cfg)
-    depletion = (c_sq * times / length)[:, None]
-    cosine_scale = 2.0 * c_sq / (length * cfg.alpha())
-    # An infinite rate times the zero response of a t = 0 row is NaN; those
-    # rows are zeroed once the rates are applied.
     with np.errstate(invalid="ignore"):
         for point in schedule.points:
             angle = 2.0 * _PI * (((x - point.position_m) % length) / length)
-            series = _mode_sum(angle, times, rate, opts, 2)
-            term = -(depletion + cosine_scale * series) * point.rate
+            value = term(_mode_sum(angle, times, rate, opts, power),
+                         point.rate)
             if opts.withdrawal_model is WithdrawalModel.HEAVISIDE:
-                term = np.where(x >= point.position_m, term, 0.0)
-            out = out + term
+                value = np.where(x >= point.position_m, value, 0.0)
+            out += value
     out[times == 0.0] = 0.0
     return out
+
+
+def _response_kernel(x, times, schedule: WithdrawalSchedule,
+                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
+    x, times = _grid(x, times, cfg)
+    c_sq = cfg.sound_speed_m_s**2
+    depletion = (c_sq * times / cfg.length_m)[:, None]
+    cosine_scale = 2.0 * c_sq / (cfg.length_m * cfg.alpha())
+    return _add_taps(np.zeros((times.size, x.size)), x, times, schedule, cfg,
+                     opts, 2, lambda series, rate:
+                     -(depletion + cosine_scale * series) * rate)
 
 
 def _pressure_field(x, times, schedule: WithdrawalSchedule,
@@ -147,13 +156,19 @@ def _pressure_field(x, times, schedule: WithdrawalSchedule,
             + _response_kernel(x, times, schedule, cfg, opts))
 
 
-def _unit_drop(x: float, times, x_new: float, cfg: PipelineConfig,
-               opts: SeriesOptions) -> np.ndarray:
-    """Point-mode pressure drop at ``x`` per unit of withdrawal at
-    ``x_new``, per time; the heaviside model has no drop upstream."""
-    unit = WithdrawalSchedule((WithdrawalPoint(x_new, 1.0),))
+def _point_response(x, times, schedule: WithdrawalSchedule,
+                    cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
+    """The withdrawal response in point mode, whatever the withdrawal model;
+    the junction, the inlet floor and the oracle have no one-sided gating."""
     point = replace(opts, withdrawal_model=WithdrawalModel.POINT)
-    return -_response_kernel(x, times, unit, cfg, point)[:, 0]
+    return _response_kernel(x, times, schedule, cfg, point)
+
+
+def _unit_drop(x, times, x_new: float, cfg: PipelineConfig,
+               opts: SeriesOptions) -> np.ndarray:
+    """Point-mode pressure drop per unit of withdrawal at ``x_new``."""
+    unit = WithdrawalSchedule((WithdrawalPoint(x_new, 1.0),))
+    return -_point_response(x, times, unit, cfg, opts)
 
 
 def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
@@ -161,22 +176,22 @@ def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
               mode: GradientMode | None = None) -> np.ndarray:
     """dP/dx without the delta regularization at tap positions."""
     x, times = _grid(x, times, cfg)
-    rate = opts.decay_rate(cfg)
     length = cfg.length_m
     grad = (2.0 * cfg.linearization_a * cfg.base_flow
-            * _mode_sum(_PI * (x / length), times, rate, opts, 2))
-    if (mode or opts.gradient_mode) is GradientMode.FULL:
-        scale = 4.0 * _PI * cfg.sound_speed_m_s**2 / (length**2 * cfg.alpha())
-        with np.errstate(invalid="ignore"):     # as in _response_kernel
-            for point in schedule.points:
-                angle = 2.0 * _PI * (((x - point.position_m) % length)
-                                     / length)
-                term = (scale * point.rate
-                        * _mode_sum(angle, times, rate, opts, 1))
-                if opts.withdrawal_model is WithdrawalModel.HEAVISIDE:
-                    term = np.where(x >= point.position_m, term, 0.0)
-                grad = grad + term
-    grad[times == 0.0] = 0.0
+            * _mode_sum(_PI * (x / length), times, opts.decay_rate(cfg),
+                        opts, 2))
+    if (mode or opts.gradient_mode) is not GradientMode.FULL:
+        schedule = EMPTY_SCHEDULE
+    scale = 4.0 * _PI * cfg.sound_speed_m_s**2 / (length**2 * cfg.alpha())
+    return _add_taps(grad, x, times, schedule, cfg, opts, 1,
+                     lambda series, rate: scale * rate * series)
+
+
+def _regularized_gradient(x, times, schedule: WithdrawalSchedule,
+                          cfg: PipelineConfig, opts: SeriesOptions):
+    """dP/dx with the columns at tap positions set to exactly 0."""
+    grad = _gradient(x, times, schedule, cfg, opts)
+    grad[:, np.isin(_axis(x), [p.position_m for p in schedule.points])] = 0.0
     return grad
 
 
@@ -223,8 +238,8 @@ def continuous_gradient(x: float, t: float, schedule: WithdrawalSchedule,
                         mode: GradientMode | None = None) -> float:
     """dP/dx without the delta regularization applied at tap positions.
 
-    Used by extremum scans, which need the smooth underlying function even
-    on grid nodes that coincide with a withdrawal.
+    The smooth underlying function, which extremum scans need even on grid
+    nodes that coincide with a withdrawal.
     """
     opts = opts or DEFAULT_OPTIONS
     return float(_gradient(x, t, schedule, cfg, opts, mode)[0, 0])
@@ -238,8 +253,8 @@ def pressure_gradient(x: float, t: float, schedule: WithdrawalSchedule,
     The distributional delta carried by each withdrawal makes the gradient
     undefined at the tap itself, so those points are regularized to zero.
     """
-    grad = continuous_gradient(x, t, schedule, cfg, opts)
-    return 0.0 if any(p.position_m == x for p in schedule.points) else grad
+    opts = opts or DEFAULT_OPTIONS
+    return float(_regularized_gradient(x, t, schedule, cfg, opts)[0, 0])
 
 
 def s_sin(x: float, t: float, cfg: PipelineConfig,
@@ -278,18 +293,14 @@ class ProfileSample:
 
 
 def sample(x: float, t: float, schedule: WithdrawalSchedule,
-           cfg: PipelineConfig, opts: SeriesOptions | None = None,
-           with_gradient: bool = True) -> ProfileSample:
-    """Evaluate pressure (and gradient, per opts) at one (x, t) point."""
-    opts = opts or DEFAULT_OPTIONS
-    grad = None
-    if with_gradient:
-        grad = pressure_gradient(x, t, schedule, cfg, opts)
+           cfg: PipelineConfig,
+           opts: SeriesOptions | None = None) -> ProfileSample:
+    """Pressure and regularized gradient at one (x, t) point."""
     return ProfileSample(
         position_m=x,
         time_s=t,
         pressure_pa=pressure(x, t, schedule, cfg, opts),
-        gradient_pa_per_m=grad,
+        gradient_pa_per_m=pressure_gradient(x, t, schedule, cfg, opts),
     )
 
 
@@ -302,6 +313,5 @@ def gradient_periodicity_gap(t: float, cfg: PipelineConfig,
     saturates at a*G0*pi^2/2 for the default decay rate.
     """
     opts = opts or DEFAULT_OPTIONS
-    lo, hi = _gradient((0.0, cfg.length_m), t, EMPTY_SCHEDULE, cfg, opts,
-                       GradientMode.BASE_ONLY)[0]
+    lo, hi = _gradient((0.0, cfg.length_m), t, EMPTY_SCHEDULE, cfg, opts)[0]
     return float(lo - hi)

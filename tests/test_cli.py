@@ -294,6 +294,20 @@ class TestPlumbing:
         line, = err.splitlines()
         assert "error" in json.loads(line)
 
+    def test_huge_scenario_integer_is_validation_error(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "huge-length.yaml"
+        path.write_text(SCENARIO_PATH.read_text().replace(
+            "length_m: 30000", "length_m: 1" + "0" * 400))
+        code, out, err = invoke(capsys, "echo-config", "--scenario",
+                                str(path))
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"] == "pipeline.length_m: expected a " \
+            "finite number"
+
     def test_non_finite_scenario_number(self, capsys, tmp_path):
         path = tmp_path / "inf-rate.yaml"
         path.write_text(SCENARIO_PATH.read_text().replace("rate: 11",

@@ -3,12 +3,17 @@
 Random rings, withdrawal schedules, series options, positions and times:
 every array cell matches its scalar wrapper, t = 0 rows are exactly zero,
 the heaviside gate acts identically on both paths, and the withdrawal
-inversion round-trips in both decay modes.  Superposition and ring closure
+inversion round-trips in both decay modes.  Each single path is checked
+against the rule it implements: drawdown cells are one-tap point-mode
+pressures, the oracle comparison equals a per-snapshot recomputation, the
+regularized gradient is exactly 0 at every tap, and both inlet-floor
+consumers reject the same inputs alike.  Superposition and ring closure
 are covered by the acceptance tests.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,16 +22,20 @@ from hypothesis import strategies as st
 
 import ringflow.series as series
 from ringflow import (DecayMode, GradientMode, NegativeWithdrawalWarning,
-                      PipelineConfig, SeriesOptions, WithdrawalModel,
-                      WithdrawalSchedule, invert_withdrawal,
-                      pressure_at_coupling)
+                      OracleGrid, PipelineConfig, RingflowError,
+                      SafetyThresholds, Scenario, SeriesOptions,
+                      WithdrawalModel, WithdrawalSchedule, admissible_table,
+                      compare_with_series, drawdown_table, gradient_table,
+                      invert_withdrawal, max_admissible_withdrawal,
+                      pressure_at_coupling, pressure_gradient, simulate)
+from ringflow.oracle import comparison_mask
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def rings(draw):
-    length = draw(st.floats(5000.0, 60000.0))
+def rings(draw, length=None):
+    length = length or draw(st.floats(5000.0, 60000.0))
     a = draw(st.floats(0.01, 0.2))
     base_flow = draw(st.floats(0.0, 20.0))
     return PipelineConfig(
@@ -176,3 +185,100 @@ def test_inversion_round_trip(cfg, decay_mode, fraction, t, g_new):
         back = invert_withdrawal(target, t, x_new, cfg, opts)
     assert back == pytest.approx(g_new,
                                  abs=1e-8 * (1.0 + cfg.base_flow + g_new))
+
+
+def scenario_of(cfg, schedule, opts):
+    return Scenario(cfg, schedule, opts, SafetyThresholds())
+
+
+@SETTINGS
+@given(problems(max_positions=6),
+       st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3))
+def test_drawdown_cells_are_one_tap_point_mode_pressures(problem, levels):
+    cfg, schedule, opts, xs, ts = problem
+    tap = schedule.points[0].position_m
+    table = drawdown_table(scenario_of(cfg, schedule, opts), xs.tolist(), ts,
+                           levels, tap_m=tap)
+    point = replace(opts, withdrawal_model=WithdrawalModel.POINT)
+    assert len(table.rows) == len(xs) * len(ts) * len(levels)
+    for x, t, g, p in table.rows:
+        one = WithdrawalSchedule.from_pairs([(tap, g)])
+        p_scale, _, _ = scales(cfg, one, ts)
+        assert abs(p - series.pressure(x, t, one, cfg, point)) \
+            <= 1e-12 * p_scale
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(rings(), st.data())
+def test_comparison_equals_per_snapshot_recomputation(cfg, data):
+    fractions = data.draw(st.lists(st.floats(0.0, 0.999), min_size=1,
+                                   max_size=3, unique=True))
+    schedule = WithdrawalSchedule.from_pairs(
+        (x, data.draw(st.floats(0.5, 20.0)))
+        for x in sorted({f * cfg.length_m for f in fractions}))
+    opts = data.draw(options())
+    dt = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    steps = data.draw(st.lists(st.integers(5, 40), min_size=1, max_size=3,
+                               unique=True))
+    grid = OracleGrid(cells=data.draw(st.integers(64, 256)), dt_s=dt,
+                      horizon_s=dt * max(steps))
+    run = simulate(cfg, schedule, grid, [dt * k for k in sorted(steps)])
+    got = compare_with_series(run, cfg, schedule, opts)
+    mask = comparison_mask(cfg, schedule, grid)
+    point = replace(opts, withdrawal_model=WithdrawalModel.POINT)
+    assert got.excluded_cells == np.count_nonzero(~mask)
+    assert len(got.entries) == len(run.times)
+    for entry, t, snap in zip(got.entries, run.times, run.snapshots):
+        reference = run.nominal_pa + series.response_profile(
+            run.positions, t, schedule, cfg, point)
+        diff = snap[mask] - reference[mask]
+        scale = np.linalg.norm(reference[mask] - run.nominal_pa)
+        assert entry.time_s == t
+        assert entry.rel_l2 == pytest.approx(np.linalg.norm(diff) / scale,
+                                             rel=1e-9)
+        assert entry.max_abs_pa == pytest.approx(np.max(np.abs(diff)),
+                                                 rel=1e-9)
+
+
+@SETTINGS
+@given(st.integers(4, 60), st.integers(100, 1500), st.data())
+def test_gradient_is_zero_at_every_tap(cells, dx, data):
+    # Whole-metre steps, so every grid position k * dx is exact.
+    dx = float(dx)
+    cfg = data.draw(rings(length=cells * dx))
+    indices = data.draw(st.lists(st.integers(0, cells - 1), min_size=1,
+                                 max_size=3, unique=True))
+    schedule = WithdrawalSchedule.from_pairs(
+        (k * dx, data.draw(st.floats(0.0, 20.0))) for k in sorted(indices))
+    ts = data.draw(times)
+    for mode in GradientMode:
+        for model in WithdrawalModel:
+            opts = SeriesOptions(gradient_mode=mode, withdrawal_model=model)
+            table = gradient_table(scenario_of(cfg, schedule, opts), ts, dx)
+            for point in schedule.points:
+                x = point.position_m
+                assert [row[2] for row in table.rows if row[0] == x] \
+                    == [0.0] * len(ts)
+                assert all(pressure_gradient(x, t, schedule, cfg, opts)
+                           == 0.0 for t in ts)
+
+
+def raised(call):
+    with pytest.raises(RingflowError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@SETTINGS
+@given(rings(), st.sampled_from(["tap at 0", "tap at L", "floor"]),
+       st.floats(1.0, 1.0e4))
+def test_inlet_floor_consumers_reject_alike(cfg, case, excess):
+    nominal = cfg.nominal_pressure()
+    tap = {"tap at 0": 0.0, "tap at L": cfg.length_m}.get(
+        case, 0.4 * cfg.length_m)
+    p_min = nominal + excess if case == "floor" else 0.8 * nominal
+    scenario = scenario_of(cfg, WithdrawalSchedule.from_pairs([(tap, 1.0)]),
+                           SeriesOptions())
+    table = raised(lambda: admissible_table(scenario, [300.0], p_min))
+    assert table == raised(lambda: max_admissible_withdrawal(
+        300.0, p_min, None, tap, cfg))

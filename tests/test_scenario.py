@@ -195,10 +195,14 @@ class TestFormat:
     def test_every_key_is_typed_and_path_qualified(self, path):
         parent, key = path.rsplit(".", 1)
         document = copy.deepcopy(FULL)
-        _parent(document, parent)[key] = "wrong"
-        with pytest.raises(ValidationError,
-                           match=re.escape(path) + ": expected "):
-            load_scenario(yaml.safe_dump(document))
+        wrong = [("wrong", "expected ")]
+        if parent != "series":      # float keys; an integer beyond floats
+            wrong.append((10**400, "expected a finite number"))
+        for value, message in wrong:
+            _parent(document, parent)[key] = value
+            with pytest.raises(ValidationError,
+                               match=re.escape(path) + ": " + message):
+                load_scenario(yaml.safe_dump(document))
         del _parent(document, parent)[key]
         text = yaml.safe_dump(document)
         if parent in REQUIRED:

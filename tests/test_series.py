@@ -253,10 +253,6 @@ class TestProfileSample:
         assert got.gradient_pa_per_m == pressure_gradient(
             9000.0, 120.0, schedule, cfg)
 
-    def test_gradient_optional(self, cfg, schedule):
-        got = sample(9000.0, 120.0, schedule, cfg, with_gradient=False)
-        assert got.gradient_pa_per_m is None
-
     def test_validation(self):
         with pytest.raises(OutOfDomain):
             ProfileSample(-1.0, 10.0, 125000.0)

@@ -91,11 +91,12 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
                         include_withdrawals: bool = False) -> CouplingPoint:
     """Locate the pressure maximum by a sign-change scan of dP/dx.
 
-    Scans x in (0, L) at ``grid_step`` for a + to - crossing, refines it by
-    bisection to within 0.01 m and confirms concavity with a second central
-    difference.  Raises :class:`NoExtremum` when the gradient never changes
-    sign (for instance at t = 0) and :class:`MultipleExtrema`, with all
-    refined candidates attached, when more than one crossing exists.
+    Scans x in [0, L] at ``grid_step``, both ring ends included, for a +
+    to - crossing, refines it by bisection to within 0.01 m and confirms
+    concavity with a second central difference.  Raises
+    :class:`NoExtremum` when the gradient never changes sign (for instance
+    at t = 0) and :class:`MultipleExtrema`, with all refined candidates
+    attached, when more than one crossing exists.
     """
     opts = opts or series.DEFAULT_OPTIONS
     if t == 0.0:
@@ -114,6 +115,7 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
         return series.pressure(x, t, sched, cfg, opts)
 
     xs = np.arange(grid_step, cfg.length_m, grid_step)
+    xs = np.concatenate(([0.0], xs[xs < cfg.length_m], [cfg.length_m]))
     values = grad(xs)
     definite = values != 0.0              # zeros carry the last sign
     xs, values = xs[definite], values[definite]
@@ -121,7 +123,7 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     brackets = [(float(xs[i]), float(xs[i + 1])) for i in falls]
 
     if not brackets:
-        raise NoExtremum(f"no + to - gradient crossing on (0, L) at t = {t:g}")
+        raise NoExtremum(f"no + to - gradient crossing on [0, L] at t = {t:g}")
     roots = [_bisect_root(grad, lo, hi) for lo, hi in brackets]
     if len(roots) > 1:
         raise MultipleExtrema(
@@ -130,7 +132,10 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     root = roots[0]
     h = cfg.length_m * CURVATURE_STEP_FRACTION
     peak = field(root)
-    curvature = field(root + h) - 2.0 * peak + field(root - h)
+    # Within h of a ring end the stencil moves inward to stay in [0, L].
+    centre = min(max(root, h), cfg.length_m - h)
+    middle = peak if centre == root else field(centre)
+    curvature = field(centre + h) - 2.0 * middle + field(centre - h)
     if curvature >= 0.0:
         raise NoExtremum(
             f"stationary point at {root:.2f} m failed the concavity check")

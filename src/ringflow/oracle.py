@@ -48,10 +48,17 @@ STARTUP_STEPS = 2
 #: field comparisons; the discrete delta cannot match the series there.
 EXCLUSION_RADIUS_CELLS = 2
 
+#: Largest grid accepted, in cells and in time steps (horizon / dt): far
+#: above the CLI default of 3000 cells x 6000 steps, and low enough that
+#: no grid's arrays exhaust memory before a step is taken.
+MAX_CELLS = 10**6
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Uniform space-time grid over the ring."""
+    """Uniform space-time grid over the ring, of at most
+    :data:`MAX_CELLS` cells and :data:`MAX_STEPS` time steps."""
 
     cells: int
     dt_s: float
@@ -64,6 +71,12 @@ class OracleGrid:
             raise InvalidParameter("dt_s must be finite and > 0")
         if not self.dt_s <= self.horizon_s < np.inf:
             raise InvalidParameter("horizon_s must be finite and >= dt_s")
+        # Checked as floats, before any int() or allocation.
+        if self.cells > MAX_CELLS:
+            raise InvalidParameter(f"cells must be <= {MAX_CELLS}")
+        if not self.horizon_s / self.dt_s <= MAX_STEPS:
+            raise InvalidParameter(
+                f"horizon_s / dt_s must be <= {MAX_STEPS} steps")
 
 
 @dataclass

@@ -27,6 +27,12 @@ The keys, their order, types and defaults come from one table,
 with the offending dotted path.  Emitted tables are deterministic (6
 significant digits, '.' decimal separator, LF line endings) and embed the
 scenario hash plus the series options so results stay attributable.
+
+Documents are read and written with libyaml's C codec (``CSafeLoader``,
+``CSafeDumper``) where PyYAML was built with it, and with the pure-Python
+``SafeLoader``/``SafeDumper`` otherwise.  Both share PyYAML's constructor,
+representer and resolver, so scalar typing and dumped text are the same;
+only the message texts of :class:`ParseError` depend on the codec.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ from .errors import (InvalidParameter, NonFiniteResult, ParseError,
 from .optimize import _inlet_floor, find_coupling_point, tap_pressure
 from .series import (EMPTY_SCHEDULE, _pressure_field, _regularized_gradient,
                      _unit_drop)
+
+#: The YAML codec, libyaml's where available (see the module docstring).
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 #: The scenario format.  Each section names the dataclass it builds and
 #: maps its YAML keys, in document order, to that dataclass's fields.  A
@@ -186,9 +196,11 @@ class Scenario:
 
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
+    # A tagged scalar its constructor rejects (a 13th month) raises a
+    # ValueError, not a YAMLError.
     try:
-        document = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        document = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if document is None:
         raise ValidationError("top level: document is empty")
@@ -218,8 +230,8 @@ def load_scenario(text: str) -> Scenario:
 
 def dump_scenario(scenario: Scenario) -> str:
     """Normalized YAML form; load_scenario round-trips it."""
-    return yaml.safe_dump(scenario.normalized(), sort_keys=False,
-                          default_flow_style=False)
+    return yaml.dump(scenario.normalized(), Dumper=_DUMPER, sort_keys=False,
+                     default_flow_style=False)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +270,8 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidParameter(
             f"dx {dx:g} does not divide ring length {cfg.length_m:g}")
-    positions = [i * dx for i in range(int(round(steps)) + 1)]
+    positions = [i * dx for i in range(int(round(steps)))]
+    positions.append(cfg.length_m)  # i * dx can round past L
     grad = _regularized_gradient(positions, t_list, scenario.schedule, cfg,
                                  scenario.series)
     rows = tuple((x, t, value)

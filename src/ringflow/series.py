@@ -29,8 +29,17 @@ the time-independent part of each sum from its exact closed form,
     sum_n cos(n*u)/n^2 = pi^2/6 - pi*u/2 + u^2/4
     sum_n sin(n*u)/n   = (pi - u)/2     for u > 0; the sum is 0 at u = 0
 
-and subtracts ``truncation_n`` exponential corrections, so only the
-(superexponentially small) tail of the corrections is lost.
+and subtracts the exponential corrections exp(-n^2*rate*t)/n^p.  It sums
+only the first
+
+    N_eff = min(truncation_n, ceil(sqrt(ln(1e20) / (rate * t_min))))
+
+of them, t_min being the smallest positive time of the call: every later
+correction has n^2*rate*t > ln(1e20), so it is below exp(-46) = 1e-20, and
+their whole tail stays far below the rounding of the O(1) closed forms.
+With no positive time, or where rate * t_min underflows, N_eff is
+``truncation_n``.  The plain route keeps all ``truncation_n`` terms: its
+truncated tail is part of the model it evaluates.
 
 Withdrawal angles are always reduced through ``(x - x_i) mod L`` before any
 trigonometry, which makes the point-mode field exactly periodic in floating
@@ -58,6 +67,10 @@ EMPTY_SCHEDULE = WithdrawalSchedule(())
 #: blocks.  A whole 200-mode, 3000-position gradient table in one matrix
 #: (two 4.8 MB temporaries) raised the plan benchmark's peak RSS by 15 %.
 _TRIG_ELEMENTS = 1 << 16
+
+#: Accelerated corrections with n^2*rate*t beyond this exponent are below
+#: 1e-20 and are not summed.
+_NEGLIGIBLE_EXPONENT = math.log(1e20)
 
 #: Closed form of sum_n trig(n*u)/n^p on [0, 2*pi], by power p.
 _CLOSED_FORMS = {
@@ -89,15 +102,29 @@ def _grid(x, times, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
 # Kernel and field: (times x positions) arrays of checked positions and times.
 # ---------------------------------------------------------------------------
 
+def _modes(times: np.ndarray, rate: float, opts: SeriesOptions) -> int:
+    """Modes to sum: ``truncation_n``, or N_eff under acceleration."""
+    positive = times[times > 0.0]
+    if opts.closed_form_acceleration and positive.size:
+        exponent = rate * float(positive.min())
+        # Compared as floats: a tiny exponent makes the bound inf.
+        if exponent > 0.0:
+            bound = math.sqrt(_NEGLIGIBLE_EXPONENT / exponent)
+            if bound < opts.truncation_n:
+                return math.ceil(bound)
+    return opts.truncation_n
+
+
 def _mode_sum(theta, times, rate: float, opts: SeriesOptions,
               power: int) -> np.ndarray:
     """sum_n trig(n*u) * (1 - exp(-n^2*rate*t)) / n^power, u in [0, 2*pi]."""
     theta, times = _axis(theta), _axis(times)
-    blocks = -(-theta.size * opts.truncation_n // _TRIG_ELEMENTS)
+    modes = _modes(times, rate, opts)
+    blocks = -(-theta.size * modes // _TRIG_ELEMENTS)
     if blocks > 1 and theta.size > 1:
         return np.hstack([_mode_sum(u, times, rate, opts, power)
                           for u in np.array_split(theta, blocks)])
-    n = np.arange(1.0, opts.truncation_n + 1.0)
+    n = np.arange(1.0, modes + 1.0)
     decay = np.exp(-np.outer(rate * times, n * n))
     trig = (np.sin if power % 2 else np.cos)(np.outer(n, theta))
     if opts.closed_form_acceleration:

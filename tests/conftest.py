@@ -4,6 +4,7 @@ import pytest
 
 from ringflow import (PipelineConfig, SeriesOptions, WithdrawalSchedule,
                       load_scenario)
+from yaml_codecs import CODECS, scenario_codec
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
 
@@ -40,3 +41,17 @@ def scenario_text() -> str:
 @pytest.fixture(scope="session")
 def scenario(scenario_text):
     return load_scenario(scenario_text)
+
+
+@pytest.fixture(scope="class")
+def pure_python_codec():
+    """Scenarios read and written with PyYAML's pure-Python codec."""
+    with scenario_codec("pure-python"):
+        yield
+
+
+@pytest.fixture(params=sorted(CODECS))
+def codec(request):
+    """Each YAML codec in turn; the value is its name."""
+    with scenario_codec(request.param):
+        yield request.param

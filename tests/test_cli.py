@@ -77,6 +77,19 @@ class TestGradientTable:
         assert code == 1
         assert json.loads(err)["error"] == "UsageError"
 
+    def test_last_row_is_the_ring_end(self, capsys, tmp_path):
+        # 3 * 10000.1 rounds to 30000.300000000003, just past L.
+        path = tmp_path / "odd-length.yaml"
+        path.write_text(SCENARIO_PATH.read_text().replace(
+            "length_m: 30000", "length_m: 30000.3"))
+        code, out, err = invoke(capsys, "gradient-table", "--scenario",
+                                str(path), "--times", "100", "--dx",
+                                "10000.1")
+        assert code == 0 and err == ""
+        rows = data_rows(out)
+        assert len(rows) == 1 + 4
+        assert rows[-1].split(",")[0] == "30000.3"
+
 
 class TestDrawdown:
     def test_reference_levels(self, capsys):
@@ -179,6 +192,18 @@ class TestValidate:
         assert payload["error"] == "ConvergenceFailure"
         assert "at step" in payload["message"]
 
+    @pytest.mark.parametrize("dt", ["0.5", "1"])
+    def test_too_many_steps_is_validation_error(self, capsys, dt):
+        # Refused before any step count is rounded or array allocated.
+        code, out, err = invoke(capsys, "validate", "--scenario", REF,
+                                "--cells", "100", "--dt", dt,
+                                "--times", "1e308")
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "InvalidParameter"
+        assert "steps" in payload["message"]
+
 
 class TestReport:
     def test_bundle(self, capsys):
@@ -216,6 +241,56 @@ class TestEchoConfig:
         assert code == 0
         from ringflow import load_scenario
         assert load_scenario(out).normalized() == scenario.normalized()
+
+
+class TestScenarioCodecs:
+    def test_echo_config_bytes(self, capsys, codec):
+        code, out, err = invoke(capsys, "echo-config", "--scenario", REF)
+        assert code == 0 and err == ""
+        assert out == ECHO_CONFIG
+
+    def test_parse_error(self, capsys, codec, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("pipeline: [unclosed")
+        code, out, err = invoke(capsys, "echo-config", "--scenario",
+                                str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    def test_validation_error(self, capsys, codec, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(SCENARIO_PATH.read_text().replace("rate: 11",
+                                                          "rate: yes"))
+        code, out, err = invoke(capsys, "echo-config", "--scenario",
+                                str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "ValidationError",
+            "message": "withdrawals[0].rate: expected a number"}
+
+
+#: echo-config on scenarios/reference.yaml, whichever the YAML codec.
+ECHO_CONFIG = """\
+pipeline:
+  length_m: 30000.0
+  sound_speed_m_s: 383.3
+  linearization_a_per_s: 0.05
+  inlet_pressure_pa: 140000.0
+  base_flow: 10.0
+withdrawals:
+- position_m: 12000.0
+  rate: 11.0
+series:
+  truncation: 100
+  decay_mode: alpha
+  withdrawal_model: point
+  gradient_mode: base_only
+  closed_form_acceleration: true
+safety:
+  optimal_max: 0.1
+  permissible_max: 0.2
+  unsafe_min: 0.25
+"""
 
 
 class TestPlumbing:

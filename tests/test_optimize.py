@@ -70,6 +70,32 @@ class TestFindCouplingPoint:
         assert len(candidates) == 2
         assert all(0.0 < c < cfg.length_m for c in candidates)
 
+    def test_maximum_before_the_first_grid_step(self):
+        # A 5 km heaviside ring early on: the maximum at 870.4 m lies in
+        # (0, grid_step), which a scan starting at grid_step never saw.
+        from ringflow import DecayMode, PipelineConfig
+        cfg = PipelineConfig(5000.0, 341.863091, 0.03808752919,
+                             181385.4601, 18.13592994)
+        schedule = WithdrawalSchedule.from_pairs([(210.0, 5.316411284)])
+        opts = SeriesOptions(decay_mode=DecayMode.A,
+                             withdrawal_model=WithdrawalModel.HEAVISIDE)
+        coarse = find_coupling_point(1.730769533, schedule, cfg, opts,
+                                     grid_step=965.7474513)
+        fine = find_coupling_point(1.730769533, schedule, cfg, opts,
+                                   grid_step=100.0)
+        assert coarse.position_m == pytest.approx(870.43, abs=0.01)
+        assert coarse.position_m == pytest.approx(fine.position_m, abs=0.01)
+
+    def test_concavity_stencil_stays_on_the_ring(self):
+        # So early and with so many modes, the maximum sits closer to the
+        # inlet than the stencil step h = L/3000; the stencil moves inward.
+        from ringflow import DecayMode, PipelineConfig
+        cfg = PipelineConfig(5000.0, 341.863091, 0.03808752919,
+                             181385.4601, 18.13592994)
+        opts = SeriesOptions(truncation_n=20000, decay_mode=DecayMode.A)
+        point = find_coupling_point(3e-7, WithdrawalSchedule(()), cfg, opts)
+        assert 0.0 < point.position_m < cfg.length_m / 3000.0
+
 
 class TestPressureAtCoupling:
     def test_anchor(self, cfg):

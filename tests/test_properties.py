@@ -7,7 +7,8 @@ inversion round-trips in both decay modes.  Each single path is checked
 against the rule it implements: drawdown cells are one-tap point-mode
 pressures, the oracle comparison equals a per-snapshot recomputation, the
 regularized gradient is exactly 0 at every tap, and both inlet-floor
-consumers reject the same inputs alike.  Superposition and ring closure
+consumers reject the same inputs alike.  The accelerated route's adaptive
+truncation (N_eff) gives the full-truncation field.  Superposition and ring closure
 are covered by the acceptance tests.
 """
 
@@ -282,3 +283,46 @@ def test_inlet_floor_consumers_reject_alike(cfg, case, excess):
     table = raised(lambda: admissible_table(scenario, [300.0], p_min))
     assert table == raised(lambda: max_admissible_withdrawal(
         300.0, p_min, None, tap, cfg))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rings(), st.data())
+def test_adaptive_truncation_matches_every_mode(cfg, data):
+    # N_eff drops only corrections below 1e-20; summing every one of the
+    # truncation_n modes must give the same field to 1e-15 of its scale.
+    schedule = data.draw(schedules(cfg))
+    opts = data.draw(st.builds(
+        SeriesOptions, truncation_n=st.integers(1, 200),
+        decay_mode=st.sampled_from(DecayMode),
+        withdrawal_model=st.sampled_from(WithdrawalModel),
+        gradient_mode=st.just(GradientMode.FULL)))
+    ts = data.draw(st.lists(st.floats(0.05, 600.0), min_size=1, max_size=4))
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                   max_size=8))
+    xs = [f * cfg.length_m for f in fractions] + [0.0, cfg.length_m] \
+        + [p.position_m for p in schedule.points]
+    p_scale, _, g_scale = scales(cfg, schedule, ts)
+
+    def fields():
+        return (series._pressure_field(xs, ts, schedule, cfg, opts),
+                series._gradient(xs, ts, schedule, cfg, opts))
+
+    adaptive = fields()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_NEGLIGIBLE_EXPONENT", math.inf)
+        every = fields()
+    for got, want, scale in zip(adaptive, every, (p_scale, g_scale)):
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_adaptive_truncation_count():
+    opts = SeriesOptions(truncation_n=100)
+    plain = replace(opts, closed_form_acceleration=False)
+    # ceil(sqrt(ln(1e20) / (0.01 * 100))) = ceil(6.79); t = 0 is ignored.
+    assert series._modes(np.array([0.0, 300.0, 100.0]), 0.01, opts) == 7
+    assert series._modes(np.array([100.0]), 0.01, plain) == 100
+    assert series._modes(np.array([0.0]), 0.01, opts) == 100
+    # rate * t_min underflows to 0, or is so small that the bound is inf.
+    assert series._modes(np.array([5e-324]), 0.01, opts) == 100
+    assert series._modes(np.array([1e-320]), 1.0, opts) == 100
+    assert series._modes(np.array([1e-6]), 1e-6, opts) == 100

@@ -18,6 +18,7 @@ from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
                       build_report, drawdown_table, dump_scenario, emit,
                       gradient_table, load_scenario)
 from ringflow.scenario import ProfileTable
+from yaml_codecs import CODECS, scenario_codec
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "discrepancies.json"
 
@@ -53,6 +54,10 @@ class TestLoadScenario:
     def test_malformed_document(self):
         with pytest.raises(ParseError):
             load_scenario("pipeline: [unclosed")
+
+    def test_unconstructible_scalar(self):
+        with pytest.raises(ParseError, match="month must be in 1..12"):
+            load_scenario("pipeline: !!timestamp 2020-13-45\n")
 
     def test_non_mapping_document(self):
         with pytest.raises(ValidationError):
@@ -212,6 +217,31 @@ class TestFormat:
         else:       # an omitted key takes its default, as written in FULL
             assert load_scenario(text) == load_scenario(
                 yaml.safe_dump(FULL))
+
+
+@pytest.mark.usefixtures("pure_python_codec")
+class TestLoadScenarioPurePython(TestLoadScenario):
+    """The loading tests again, on a PyYAML without libyaml."""
+
+
+@pytest.mark.usefixtures("pure_python_codec")
+class TestFormatPurePython(TestFormat):
+    """The format tests again, on a PyYAML without libyaml.  The property
+    load(dump(s)) == s runs under both codecs in the test below."""
+
+    test_load_inverts_dump = None       # one Hypothesis test, one class
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios())
+def test_codecs_dump_and_load_alike(scenario):
+    texts, loaded = set(), set()
+    for name in CODECS:
+        with scenario_codec(name):
+            text = dump_scenario(scenario)
+            texts.add(text)
+            loaded.add(load_scenario(text))
+    assert len(texts) == 1 and loaded == {scenario}
 
 
 class TestGradientTable:

@@ -17,6 +17,10 @@ from .errors import InvalidParameter
 
 TWO_PI_SQUARED = 2.0 * math.pi**2
 
+#: Largest ``SeriesOptions.truncation_n``: on the plain route, and at t = 0,
+#: every evaluation sums that many modes.
+MAX_TRUNCATION = 10**5
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -163,6 +167,8 @@ class SeriesOptions:
     def __post_init__(self) -> None:
         _require(isinstance(self.truncation_n, int) and self.truncation_n >= 1,
                  "truncation_n must be an integer >= 1")
+        _require(self.truncation_n <= MAX_TRUNCATION,
+                 f"truncation_n must be <= {MAX_TRUNCATION}")
 
     def decay_rate(self, cfg: PipelineConfig) -> float:
         if self.decay_mode is DecayMode.ALPHA:

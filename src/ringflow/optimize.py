@@ -21,6 +21,7 @@ from .core import (GradientMode, PipelineConfig, SafetyThresholds,
                    SeriesOptions, WithdrawalSchedule)
 from .errors import (InfeasibleConstraint, InvalidParameter, MultipleExtrema,
                      NegativeWithdrawalWarning, NoExtremum, OutOfDomain)
+from .series import DEFAULT_OPTIONS
 
 #: Bisection stops once the bracket is narrower than this, in metres.
 POSITION_TOLERANCE_M = 0.01
@@ -86,7 +87,8 @@ def _check_tap(x_new: float, cfg: PipelineConfig) -> None:
 
 
 def find_coupling_point(t: float, schedule: WithdrawalSchedule,
-                        cfg: PipelineConfig, opts: SeriesOptions | None = None,
+                        cfg: PipelineConfig,
+                        opts: SeriesOptions = DEFAULT_OPTIONS,
                         grid_step: float = 100.0,
                         include_withdrawals: bool = False) -> CouplingPoint:
     """Locate the pressure maximum by a sign-change scan of dP/dx.
@@ -98,7 +100,6 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     at t = 0) and :class:`MultipleExtrema`, with all refined candidates
     attached, when more than one crossing exists.
     """
-    opts = opts or series.DEFAULT_OPTIONS
     if t == 0.0:
         raise NoExtremum("the gradient is identically zero at t = 0")
     if not 0.0 < grid_step < cfg.length_m:
@@ -110,9 +111,6 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
 
     def grad(x) -> np.ndarray:
         return series._gradient(x, t, sched, cfg, opts, GradientMode.FULL)[0]
-
-    def field(x: float) -> float:
-        return series.pressure(x, t, sched, cfg, opts)
 
     xs = np.arange(grid_step, cfg.length_m, grid_step)
     xs = np.concatenate(([0.0], xs[xs < cfg.length_m], [cfg.length_m]))
@@ -131,33 +129,31 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
 
     root = roots[0]
     h = cfg.length_m * CURVATURE_STEP_FRACTION
-    peak = field(root)
     # Within h of a ring end the stencil moves inward to stay in [0, L].
     centre = min(max(root, h), cfg.length_m - h)
-    middle = peak if centre == root else field(centre)
-    curvature = field(centre + h) - 2.0 * middle + field(centre - h)
-    if curvature >= 0.0:
+    peak, left, middle, right = series._pressure_field(
+        (root, centre - h, centre, centre + h), t, sched, cfg, opts)[0]
+    if right - 2.0 * middle + left >= 0.0:
         raise NoExtremum(
             f"stationary point at {root:.2f} m failed the concavity check")
-    return CouplingPoint(position_m=root, pressure_pa=peak, time_s=t)
+    return CouplingPoint(position_m=root, pressure_pa=float(peak), time_s=t)
 
 
 def tap_pressure(total: float, t: float, x_new: float,
                  cfg: PipelineConfig,
-                 opts: SeriesOptions | None = None) -> float:
+                 opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """Pressure at the tap when a total withdrawal ``total`` sits there.
 
     The base pressure minus ``total`` times the point-mode per-unit drop
     there: the full series evaluated at its own tap.
     """
-    opts = opts or series.DEFAULT_OPTIONS
     drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0, 0])
     return series.base_pressure(x_new, t, cfg, opts) - total * drop
 
 
 def pressure_at_coupling(t: float, g_new: float, x_new: float,
                          cfg: PipelineConfig,
-                         opts: SeriesOptions | None = None) -> float:
+                         opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """Tap pressure once the base flow plus ``g_new`` is drawn at ``x_new``."""
     _check_tap(x_new, cfg)
     if not 0.0 <= g_new < math.inf:
@@ -166,7 +162,8 @@ def pressure_at_coupling(t: float, g_new: float, x_new: float,
 
 
 def invert_withdrawal(p_target: float, t: float, x_new: float,
-                      cfg: PipelineConfig, opts: SeriesOptions | None = None,
+                      cfg: PipelineConfig,
+                      opts: SeriesOptions = DEFAULT_OPTIONS,
                       printed_form: bool = False) -> float:
     """Withdrawal increment g_new that yields ``p_target`` at the tap.
 
@@ -176,7 +173,6 @@ def invert_withdrawal(p_target: float, t: float, x_new: float,
     ``printed_form`` selects the (t + 2*S_e) kernel found in the source
     formula, which does not round-trip and is kept only for comparison.
     """
-    opts = opts or series.DEFAULT_OPTIONS
     _check_tap(x_new, cfg)
     if not 0.0 < t < math.inf:
         raise InvalidParameter("inversion requires a finite t > 0")
@@ -213,7 +209,7 @@ def _inlet_floor(p_min: float, x_new: float, times, cfg: PipelineConfig,
 def max_admissible_withdrawal(horizon_s: float, p_min: float,
                               g_max: float | None, x_new: float,
                               cfg: PipelineConfig,
-                              opts: SeriesOptions | None = None,
+                              opts: SeriesOptions = DEFAULT_OPTIONS,
                               method: str = "affine") -> AdmissibleWithdrawal:
     """Largest total withdrawal at ``x_new`` keeping P(0, t) >= p_min.
 
@@ -229,7 +225,6 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
     as the binding point.  As in the admissible table, D(t) is evaluated in
     point mode whatever the withdrawal model.
     """
-    opts = opts or series.DEFAULT_OPTIONS
     if not 0.0 < horizon_s < math.inf:
         raise InvalidParameter("horizon_s must be finite and > 0")
     if g_max is not None and g_max < 0.0:

@@ -290,7 +290,8 @@ def _relative(error: float, scale: float) -> float:
 
 def compare_with_series(run: OracleRun, cfg: PipelineConfig,
                         schedule: WithdrawalSchedule,
-                        opts: SeriesOptions | None = None) -> OracleComparison:
+                        opts: SeriesOptions = DEFAULT_OPTIONS
+                        ) -> OracleComparison:
     """Error metrics of the run against the analytical point-mode field.
 
     The reference is ``nominal + withdrawal_response`` in point mode (the
@@ -304,7 +305,7 @@ def compare_with_series(run: OracleRun, cfg: PipelineConfig,
     c_sq = cfg.sound_speed_m_s**2
     total = schedule.total()
     references = run.nominal_pa + _point_response(
-        run.positions, run.times, schedule, cfg, opts or DEFAULT_OPTIONS)
+        run.positions, run.times, schedule, cfg, opts)
 
     entries: list[SnapshotError] = []
     for t, snap, reference in zip(run.times, run.snapshots, references):

@@ -51,13 +51,17 @@ from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
 from .errors import (InvalidParameter, NonFiniteResult, ParseError,
                      ValidationError)
-from .optimize import _inlet_floor, find_coupling_point, tap_pressure
+from .optimize import _inlet_floor, find_coupling_point
 from .series import (EMPTY_SCHEDULE, _pressure_field, _regularized_gradient,
                      _unit_drop)
 
 #: The YAML codec, libyaml's where available (see the module docstring).
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+#: Most position steps L/dx of a gradient table (the table has one more
+#: position, L itself).
+MAX_POSITIONS = 10**5
 
 #: The scenario format.  Each section names the dataclass it builds and
 #: maps its YAML keys, in document order, to that dataclass's fields.  A
@@ -260,13 +264,17 @@ def _base_metadata(scenario: Scenario) -> dict:
 def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     """Spatial gradient scan at each time, rows sorted by position.
 
-    dx must divide the ring length; withdrawal positions report the
-    regularized gradient 0.
+    dx must divide the ring length into at most :data:`MAX_POSITIONS`
+    steps; withdrawal positions report the regularized gradient 0.
     """
     cfg = scenario.pipeline
     if not 0.0 < dx < math.inf:
         raise InvalidParameter("dx must be finite and > 0")
     steps = cfg.length_m / dx
+    # A float comparison: round() raises on an infinite quotient.
+    if not steps <= MAX_POSITIONS:
+        raise InvalidParameter(
+            f"dx {dx:g} gives more than {MAX_POSITIONS} steps")
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidParameter(
             f"dx {dx:g} does not divide ring length {cfg.length_m:g}")
@@ -329,15 +337,17 @@ def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
     for t in t_list:
         if not 0.0 < t < math.inf:
             raise InvalidParameter("admissible table requires a finite t > 0")
-    budget, drops = _inlet_floor(p_min, tap, t_list, cfg, scenario.series)
-    rows = []
-    for t, per_unit_drop in zip(t_list, drops.tolist()):
-        if per_unit_drop <= 0.0:
-            raise InvalidParameter(
-                f"per-unit inlet drop is not positive at t={t:g}")
-        g_total = budget / per_unit_drop
-        rows.append((t, tap_pressure(g_total, t, tap, cfg, scenario.series),
-                     g_total))
+    opts = scenario.series
+    budget, drops = _inlet_floor(p_min, tap, t_list, cfg, opts)
+    bad = np.flatnonzero(drops <= 0.0)
+    if bad.size:
+        raise InvalidParameter(
+            f"per-unit inlet drop is not positive at t={t_list[bad[0]]:g}")
+    totals = budget / drops
+    # Base pressure at the tap minus the total times its drop, all rows.
+    p_tap = (_pressure_field(tap, t_list, EMPTY_SCHEDULE, cfg, opts)[:, 0]
+             - totals * _unit_drop(tap, t_list, tap, cfg, opts)[:, 0])
+    rows = zip(t_list, p_tap.tolist(), totals.tolist())
     metadata = _base_metadata(scenario)
     metadata["tap_m"] = tap
     metadata["p_min_pa"] = p_min

@@ -227,77 +227,71 @@ def _regularized_gradient(x, times, schedule: WithdrawalSchedule,
 # ---------------------------------------------------------------------------
 
 def base_pressure(x: float, t: float, cfg: PipelineConfig,
-                  opts: SeriesOptions | None = None) -> float:
+                  opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """Pressure of the withdrawal-free ring at position ``x`` and time ``t``."""
-    opts = opts or DEFAULT_OPTIONS
     return float(_pressure_field(x, t, EMPTY_SCHEDULE, cfg, opts)[0, 0])
 
 
 def withdrawal_response(x: float, t: float, schedule: WithdrawalSchedule,
                         cfg: PipelineConfig,
-                        opts: SeriesOptions | None = None) -> float:
+                        opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """Signed pressure contribution of the withdrawals at (x, t).
 
     Always <= 0 for nonnegative rates: a storage-depletion term common to
     the whole ring plus a cosine redistribution centred on each tap.
     """
-    opts = opts or DEFAULT_OPTIONS
     return float(_response_kernel(x, t, schedule, cfg, opts)[0, 0])
 
 
 def pressure(x: float, t: float, schedule: WithdrawalSchedule,
-             cfg: PipelineConfig, opts: SeriesOptions | None = None) -> float:
+             cfg: PipelineConfig,
+             opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """Total pressure: base field plus withdrawal response."""
-    opts = opts or DEFAULT_OPTIONS
     return float(_pressure_field(x, t, schedule, cfg, opts)[0, 0])
 
 
 def response_profile(positions, t: float, schedule: WithdrawalSchedule,
                      cfg: PipelineConfig,
-                     opts: SeriesOptions | None = None) -> np.ndarray:
+                     opts: SeriesOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Vectorized :func:`withdrawal_response` over an array of positions."""
-    opts = opts or DEFAULT_OPTIONS
     return _response_kernel(positions, t, schedule, cfg, opts)[0]
 
 
 def continuous_gradient(x: float, t: float, schedule: WithdrawalSchedule,
-                        cfg: PipelineConfig, opts: SeriesOptions | None = None,
+                        cfg: PipelineConfig,
+                        opts: SeriesOptions = DEFAULT_OPTIONS,
                         mode: GradientMode | None = None) -> float:
     """dP/dx without the delta regularization applied at tap positions.
 
     The smooth underlying function, which extremum scans need even on grid
     nodes that coincide with a withdrawal.
     """
-    opts = opts or DEFAULT_OPTIONS
     return float(_gradient(x, t, schedule, cfg, opts, mode)[0, 0])
 
 
 def pressure_gradient(x: float, t: float, schedule: WithdrawalSchedule,
                       cfg: PipelineConfig,
-                      opts: SeriesOptions | None = None) -> float:
+                      opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """dP/dx in Pa/m, reported as 0 exactly at withdrawal positions.
 
     The distributional delta carried by each withdrawal makes the gradient
     undefined at the tap itself, so those points are regularized to zero.
     """
-    opts = opts or DEFAULT_OPTIONS
     return float(_regularized_gradient(x, t, schedule, cfg, opts)[0, 0])
 
 
 def s_sin(x: float, t: float, cfg: PipelineConfig,
-          opts: SeriesOptions | None = None) -> float:
+          opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """sum_n sin(pi*n*x/L) * (1 - exp(-n^2*rate*t)) / (pi*n^3)."""
-    opts = opts or DEFAULT_OPTIONS
     return float(_half_wave_sum(x, t, cfg, opts)[0, 0]) / _PI
 
 
 def s_e(t: float, cfg: PipelineConfig,
-        opts: SeriesOptions | None = None) -> float:
+        opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """sum_n (1 - exp(-n^2*rate*t)) / (alpha*pi*n^2), a seconds-like kernel.
 
     Saturates at pi/(6*alpha) as t grows.
     """
-    opts = opts or DEFAULT_OPTIONS
     _, times = _grid(0.0, t, cfg)
     value = _mode_sum(0.0, times, opts.decay_rate(cfg), opts, 2)[0, 0]
     return float(value) / (cfg.alpha() * _PI)
@@ -321,7 +315,7 @@ class ProfileSample:
 
 def sample(x: float, t: float, schedule: WithdrawalSchedule,
            cfg: PipelineConfig,
-           opts: SeriesOptions | None = None) -> ProfileSample:
+           opts: SeriesOptions = DEFAULT_OPTIONS) -> ProfileSample:
     """Pressure and regularized gradient at one (x, t) point."""
     return ProfileSample(
         position_m=x,
@@ -332,13 +326,12 @@ def sample(x: float, t: float, schedule: WithdrawalSchedule,
 
 
 def gradient_periodicity_gap(t: float, cfg: PipelineConfig,
-                             opts: SeriesOptions | None = None) -> float:
+                             opts: SeriesOptions = DEFAULT_OPTIONS) -> float:
     """Diagnostic dP/dx(0, t) - dP/dx(L, t) of the base field, in Pa/m.
 
     The half-wave base modes are not L-periodic, so their gradient does not
     close around the ring.  The gap is reported rather than corrected; it
     saturates at a*G0*pi^2/2 for the default decay rate.
     """
-    opts = opts or DEFAULT_OPTIONS
     lo, hi = _gradient((0.0, cfg.length_m), t, EMPTY_SCHEDULE, cfg, opts)[0]
     return float(lo - hi)

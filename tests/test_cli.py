@@ -71,6 +71,14 @@ class TestGradientTable:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "InvalidParameter"
 
+    def test_subnormal_dx_is_validation_error(self, capsys):
+        # L / dx overflows to inf, beyond MAX_POSITIONS.
+        code, out, err = invoke(capsys, "gradient-table", "--scenario", REF,
+                                "--times", "100", "--dx", "1e-320")
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "InvalidParameter"
+
     def test_unparseable_times(self, capsys):
         code, _, err = invoke(capsys, "gradient-table", "--scenario", REF,
                               "--times", "100;200")
@@ -368,6 +376,18 @@ class TestPlumbing:
         assert code == 2 and out == ""
         line, = err.splitlines()
         assert "error" in json.loads(line)
+
+    def test_truncation_above_cap_is_validation_error(self, capsys,
+                                                     tmp_path):
+        # Refused on loading: at t = 0 the field would sum every mode.
+        path = tmp_path / "huge-truncation.yaml"
+        path.write_text(SCENARIO_PATH.read_text()
+                        + "series:\n  truncation: 1000000000000\n")
+        code, out, err = invoke(capsys, "pressure", "--scenario", str(path),
+                                "--x", "100", "--time", "0")
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "ValidationError"
 
     def test_huge_scenario_integer_is_validation_error(self, capsys,
                                                        tmp_path):

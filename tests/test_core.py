@@ -5,6 +5,7 @@ import pytest
 from ringflow import (DecayMode, InvalidParameter, PipelineConfig,
                       SafetyThresholds, SeriesOptions, WithdrawalPoint,
                       WithdrawalSchedule, derive_linearization)
+from ringflow.core import MAX_TRUNCATION
 
 
 class TestDeriveLinearization:
@@ -134,6 +135,15 @@ class TestSeriesOptions:
     def test_truncation_floor(self):
         with pytest.raises(InvalidParameter):
             SeriesOptions(truncation_n=0)
+
+    def test_truncation_cap(self):
+        # Only built, never evaluated: a plain-route field would sum that
+        # many modes.
+        assert SeriesOptions(truncation_n=MAX_TRUNCATION).truncation_n \
+            == MAX_TRUNCATION
+        for n in (MAX_TRUNCATION + 1, 10**12):
+            with pytest.raises(InvalidParameter, match="truncation_n"):
+                SeriesOptions(truncation_n=n)
 
     def test_decay_rate(self, cfg, opts):
         assert opts.decay_rate(cfg) == pytest.approx(cfg.alpha())

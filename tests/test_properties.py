@@ -5,10 +5,12 @@ every array cell matches its scalar wrapper, t = 0 rows are exactly zero,
 the heaviside gate acts identically on both paths, and the withdrawal
 inversion round-trips in both decay modes.  Each single path is checked
 against the rule it implements: drawdown cells are one-tap point-mode
-pressures, the oracle comparison equals a per-snapshot recomputation, the
-regularized gradient is exactly 0 at every tap, and both inlet-floor
-consumers reject the same inputs alike.  The accelerated route's adaptive
-truncation (N_eff) gives the full-truncation field.  Superposition and ring closure
+pressures, admissible rows are tap pressures, the oracle comparison
+equals a per-snapshot recomputation, the regularized gradient is exactly
+0 at every tap, and both inlet-floor consumers reject the same inputs
+alike.  The inlet drop never falls in time in decay mode alpha, and does
+in mode a beyond alpha.  The accelerated route's adaptive truncation
+(N_eff) gives the full-truncation field.  Superposition and ring closure
 are covered by the acceptance tests.
 """
 
@@ -22,13 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringflow.series as series
-from ringflow import (DecayMode, GradientMode, NegativeWithdrawalWarning,
-                      OracleGrid, PipelineConfig, RingflowError,
-                      SafetyThresholds, Scenario, SeriesOptions,
-                      WithdrawalModel, WithdrawalSchedule, admissible_table,
-                      compare_with_series, drawdown_table, gradient_table,
-                      invert_withdrawal, max_admissible_withdrawal,
-                      pressure_at_coupling, pressure_gradient, simulate)
+from ringflow import (DecayMode, GradientMode, InvalidParameter,
+                      NegativeWithdrawalWarning, OracleGrid, PipelineConfig,
+                      RingflowError, SafetyThresholds, Scenario,
+                      SeriesOptions, WithdrawalModel, WithdrawalSchedule,
+                      admissible_table, compare_with_series, drawdown_table,
+                      gradient_table, invert_withdrawal,
+                      max_admissible_withdrawal, pressure_at_coupling,
+                      pressure_gradient, simulate, tap_pressure)
+from ringflow.optimize import TIME_SAMPLES
 from ringflow.oracle import comparison_mask
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -262,6 +266,67 @@ def test_gradient_is_zero_at_every_tap(cells, dx, data):
                     == [0.0] * len(ts)
                 assert all(pressure_gradient(x, t, schedule, cfg, opts)
                            == 0.0 for t in ts)
+
+
+@SETTINGS
+@given(rings(), options(), st.floats(0.01, 0.99),
+       st.lists(st.floats(0.01, 600.0), min_size=1, max_size=6),
+       st.floats(0.05, 0.95))
+def test_admissible_rows_match_tap_pressure(cfg, opts, fraction, ts, floor):
+    tap = fraction * cfg.length_m
+    scenario = scenario_of(cfg, WithdrawalSchedule.from_pairs([(tap, 1.0)]),
+                           opts)
+    p_min = floor * cfg.nominal_pressure()
+    drops = [series._unit_drop(0.0, t, tap, cfg, opts)[0, 0] for t in ts]
+    bad = [t for t, drop in zip(ts, drops) if drop <= 0.0]
+    if bad:
+        message = f"per-unit inlet drop is not positive at t={bad[0]:g}"
+        assert raised(lambda: admissible_table(scenario, ts, p_min)) \
+            == (InvalidParameter, message)
+        return
+    table = admissible_table(scenario, ts, p_min)
+    assert [row[0] for row in table.rows] == ts
+    for t, p_tap, g_total in table.rows:
+        one = WithdrawalSchedule.from_pairs([(tap, g_total)])
+        p_scale, _, _ = scales(cfg, one, ts)
+        assert abs(p_tap - tap_pressure(g_total, t, tap, cfg, opts)) \
+            <= 1e-12 * p_scale
+
+
+@SETTINGS
+@given(rings(), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.01, 10.0), min_size=2, max_size=20))
+def test_inlet_drop_never_falls_in_alpha_mode(cfg, fraction, alpha_ts):
+    # dD/dt = (c^2/L)(1 + 2 sum_n cos(n*theta) exp(-n^2*alpha*t)) >= 0, as
+    # the periodic heat kernel is positive.  alpha*t >= 0.01 keeps N_eff
+    # below the default 100 modes, where the series has converged.
+    ts = np.sort(alpha_ts) / cfg.alpha()
+    drops = series._unit_drop(0.0, ts, fraction * cfg.length_m, cfg,
+                              SeriesOptions())[:, 0]
+    scale = cfg.sound_speed_m_s**2 / cfg.length_m * (ts[-1]
+                                                     + 2.0 / cfg.alpha())
+    assert np.all(np.diff(drops) >= -1e-12 * scale)
+
+
+def test_inlet_drop_falls_in_a_mode_beyond_alpha():
+    # With the decay rate a above alpha the cosine term first outweighs
+    # the depletion: opposite the tap D(t) falls to about -103 Pa per unit
+    # by 50 s, then rises.  max_admissible_withdrawal then binds at the
+    # sampled maximum, and the bisection agrees.
+    cfg = PipelineConfig(60000.0, 383.3, 0.05, 140000.0, 10.0)
+    opts = SeriesOptions(decay_mode=DecayMode.A)
+    assert cfg.alpha() < cfg.linearization_a
+    horizon, tap, p_min = 300.0, 30000.0, 0.8 * cfg.nominal_pressure()
+    ts = horizon * np.arange(1, TIME_SAMPLES + 1) / TIME_SAMPLES
+    drops = series._unit_drop(0.0, ts, tap, cfg, opts)[:, 0]
+    assert np.min(np.diff(drops)) < -1e-3 * abs(drops[-1])
+    bind = int(np.argmax(drops))
+    got = max_admissible_withdrawal(horizon, p_min, None, tap, cfg, opts)
+    assert got.binding_time_s == ts[bind]
+    assert got.per_unit_drop_pa == drops[bind] > 0.0
+    bisected = max_admissible_withdrawal(horizon, p_min, None, tap, cfg,
+                                         opts, method="bisection")
+    assert bisected.total == pytest.approx(got.total, abs=1e-5)
 
 
 def raised(call):

@@ -17,6 +17,7 @@ from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
                       WithdrawalModel, WithdrawalSchedule, admissible_table,
                       build_report, drawdown_table, dump_scenario, emit,
                       gradient_table, load_scenario)
+import ringflow.scenario as scenario_module
 from ringflow.scenario import ProfileTable
 from yaml_codecs import CODECS, scenario_codec
 
@@ -114,6 +115,12 @@ class TestLoadScenario:
         bad = MINIMAL + "withdrawals:\n- position_m: 100\n  rate: .inf\n"
         with pytest.raises(ValidationError, match=r"withdrawals\[0\]\.rate"):
             load_scenario(bad)
+
+    def test_truncation_above_cap(self):
+        text = MINIMAL + "series:\n  truncation: 1000000000000\n"
+        with pytest.raises(ValidationError,
+                           match=r"^series: truncation_n must be <= 100000$"):
+            load_scenario(text)
 
     def test_invalid_physical_value_is_prefixed(self):
         broken = MINIMAL.replace("length_m: 30000", "length_m: -1")
@@ -272,6 +279,12 @@ class TestGradientTable:
         with pytest.raises(InvalidParameter):
             gradient_table(scenario, [100.0], 7001.0)
 
+    def test_position_cap(self, scenario, monkeypatch):
+        monkeypatch.setattr(scenario_module, "MAX_POSITIONS", 30)
+        assert len(gradient_table(scenario, [100.0], 1000.0).rows) == 31
+        with pytest.raises(InvalidParameter, match="more than 30 steps"):
+            gradient_table(scenario, [100.0], 999.0)
+
     @pytest.mark.parametrize("dx", [math.nan, math.inf])
     def test_rejects_non_finite_dx(self, scenario, dx):
         with pytest.raises(InvalidParameter):
@@ -363,6 +376,20 @@ class TestAdmissibleTable:
     def test_rejects_non_finite_floor(self, scenario):
         with pytest.raises(InvalidParameter, match="finite"):
             admissible_table(scenario, [300.0], math.nan)
+
+    def test_non_positive_drop_names_first_time(self):
+        # Decay rate a = 0.05 above alpha = 0.0161 on a 60 km ring: the
+        # point-mode inlet drop is negative at 10 s and 5 s, positive at
+        # 300 s.
+        text = MINIMAL.replace("length_m: 30000", "length_m: 60000") + (
+            "withdrawals:\n- {position_m: 12000, rate: 11}\n"
+            "series:\n  decay_mode: a\n")
+        scenario = load_scenario(text)
+        assert scenario.pipeline.alpha() < scenario.pipeline.linearization_a
+        with pytest.raises(InvalidParameter, match=r"^per-unit inlet drop "
+                           r"is not positive at t=10$"):
+            admissible_table(scenario, [300.0, 10.0, 5.0], 100000.0)
+        assert len(admissible_table(scenario, [300.0], 100000.0).rows) == 1
 
     def test_self_consistency_note(self, scenario):
         table = admissible_table(scenario, [300.0], 100000.0)

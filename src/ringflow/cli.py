@@ -9,7 +9,7 @@ variable.  Numeric results are emitted as CSV (default) or JSON via
 --format; CSV lines starting with '#' carry key=value metadata.  Exit
 codes: 0 success, 1 usage or parse problem, 2 validation failure,
 3 numerical failure (no extremum, solver residual, tolerance exceeded, a
-non-finite number in the output).
+non-finite number in the output) or any other, unforeseen error.
 Errors print one JSON object per line on standard error.
 """
 
@@ -332,15 +332,15 @@ def _error_line(exc: BaseException) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
-def _exit_code(exc: BaseException) -> int:
-    # Numerical failures are ArithmeticErrors, rejected inputs ValueErrors.
+def _exit_code(exc: Exception) -> int:
+    # Numerical failures are ArithmeticErrors, rejected inputs ValueErrors;
+    # an exception from outside the package is a defect, reported as 3.
     if isinstance(exc, (UsageError, ParseError, OSError)):
         return EXIT_USAGE
-    if isinstance(exc, ArithmeticError):
-        return EXIT_NUMERICAL
-    if isinstance(exc, ValueError):
+    if isinstance(exc, RingflowError) and isinstance(exc, ValueError) \
+            and not isinstance(exc, ArithmeticError):
         return EXIT_VALIDATION
-    raise exc
+    return EXIT_NUMERICAL
 
 
 def run(argv=None) -> int:
@@ -359,7 +359,7 @@ def run(argv=None) -> int:
             sys.stdout.write(text)
         if failure is not None:         # a result that is itself a failure
             raise failure
-    except (RingflowError, OSError) as exc:
+    except Exception as exc:            # never a traceback
         sys.stderr.write(_error_line(exc) + "\n")
         return _exit_code(exc)
     return EXIT_OK

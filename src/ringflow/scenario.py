@@ -38,19 +38,22 @@ only the message texts of :class:`ParseError` depend on the codec.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain, compress, repeat
+from operator import add
 
 import numpy as np
 import yaml
 
 from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
-from .errors import (InvalidParameter, NonFiniteResult, ParseError,
-                     ValidationError)
+from .errors import (InvalidParameter, MultipleExtrema, NonFiniteResult,
+                     ParseError, ValidationError)
 from .optimize import _inlet_floor, find_coupling_point
 from .series import (EMPTY_SCHEDULE, _pressure_field, _regularized_gradient,
                      _unit_drop)
@@ -62,6 +65,9 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 #: Most position steps L/dx of a gradient table (the table has one more
 #: position, L itself).
 MAX_POSITIONS = 10**5
+
+#: Most cells, levels x positions x times, of a drawdown table.
+MAX_DRAWDOWN_CELLS = 10**6
 
 #: The scenario format.  Each section names the dataclass it builds and
 #: maps its YAML keys, in document order, to that dataclass's fields.  A
@@ -298,10 +304,17 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
     concentrated at the tap, one block per level, rows sorted by time.
 
     Levels are evaluated in point mode regardless of the scenario's
-    withdrawal_model; the one-sided model has no junction analogue.
+    withdrawal_model; the one-sided model has no junction analogue.  A
+    table of more than :data:`MAX_DRAWDOWN_CELLS` cells is refused before
+    any field evaluation.
     """
     cfg = scenario.pipeline
     tap = scenario.tap_position() if tap_m is None else tap_m
+    cells = len(g_levels) * len(x_list) * len(t_list)
+    if cells > MAX_DRAWDOWN_CELLS:
+        raise InvalidParameter(
+            f"drawdown of {cells} cells (levels x positions x times) "
+            f"exceeds {MAX_DRAWDOWN_CELLS}")
     if not 0.0 <= tap < cfg.length_m:
         raise InvalidParameter(
             f"tap position {tap:g} out of range [0, {cfg.length_m:g})")
@@ -363,6 +376,17 @@ def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
 # emission
 # ---------------------------------------------------------------------------
 
+#: Cell types whose columns are formatted in one pass: CSV takes ints and
+#: floats, JSON only floats (it writes int cells unrounded).
+_CSV_NUMBERS = frozenset((float, int))
+_JSON_NUMBERS = frozenset((float,))
+
+#: How json writes the scalars it does not lay out, by exact type.
+_JSON_SCALARS = {bool: lambda value: "true" if value else "false",
+                 type(None): lambda value: "null",
+                 int: int.__repr__, str: json.dumps}
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -383,18 +407,107 @@ def _json_value(value):
     return 0.0 if rounded == 0.0 else rounded
 
 
+def _json_text(value) -> str:
+    """A JSON-ready cell as :func:`dump_json` writes it inside a row."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    return dump_json(value)[:-1].replace("\n", "\n      ")
+
+
+def _encode(columns: list, form: str) -> list:
+    """Columns of cells as lists of CSV texts (form "csv"), JSON texts
+    ("json") or JSON-ready values ("value").
+
+    The cells of all plain-number columns (floats; for CSV ints too) have
+    -0.0 folded to 0.0 and are formatted to 6 significant digits in one
+    pass, which JSON reads back as floats.  Other columns go cell by cell
+    through :func:`_format_cell` or :func:`_json_value`.  Texts of a NaN
+    or an infinity raise NonFiniteResult; :func:`_cells` names the cell.
+    """
+    numbers = _CSV_NUMBERS if form == "csv" else _JSON_NUMBERS
+    plain = [numbers.issuperset(map(type, cells)) for cells in columns]
+    flat = tuple(map(add, chain.from_iterable(compress(columns, plain)),
+                     repeat(0.0)))
+    text = ("%.6g " * len(flat)) % flat
+    if form != "value" and "n" in text:            # nan, inf
+        raise NonFiniteResult("result is not finite")
+    formatted = text.split()
+    if form != "csv":
+        formatted = list(map(float, formatted))
+    if form == "json":
+        formatted = list(map(float.__repr__, formatted))
+    encoded, start = [], 0
+    for cells, is_plain in zip(columns, plain):
+        if is_plain:
+            encoded.append(formatted[start:start + len(cells)])
+            start += len(cells)
+        elif form == "csv":
+            encoded.append(list(map(_format_cell, cells)))
+        else:
+            values = list(map(_json_value, cells))
+            encoded.append(values if form == "value"
+                           else list(map(_json_text, values)))
+    return encoded
+
+
+def _cells(table: ProfileTable, order, form: str) -> list:
+    """The table's columns at the indices ``order``, through
+    :func:`_encode`.
+
+    A row whose length differs from the columns raises InvalidParameter.
+    A NaN or an infinity raises NonFiniteResult naming the first one met
+    row by row, in ``order`` within a row.
+    """
+    width = len(table.columns)
+    if not set(map(len, table.rows)) <= {width}:
+        index = next(i for i, row in enumerate(table.rows)
+                     if len(row) != width)
+        raise InvalidParameter(f"row {index} has {len(table.rows[index])} "
+                               f"cells for {width} columns")
+    columns = list(zip(*table.rows)) or [()] * width
+    try:
+        return _encode(list(map(columns.__getitem__, order)), form)
+    except NonFiniteResult:
+        one = _format_cell if form == "csv" else \
+            (lambda cell: _json_text(_json_value(cell)))
+        for row in table.rows:
+            for i in order:
+                one(row[i])
+        raise
+
+
+def _rows(columns: list, count: int):
+    """Rows of per-column lists; ``count`` empty rows without columns."""
+    return zip(*columns) if columns else repeat((), count)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_row(columns: tuple) -> tuple:
+    """The column indices a JSON row holds, in sorted-name order (the last
+    of duplicate names wins, as in a dict), and the row's template."""
+    last = {name: index for index, name in enumerate(columns)}
+    names = sorted(last)
+    if not names:
+        return (), "    {}"
+    keys = [json.dumps(name).replace("%", "%%") for name in names]
+    fields = ",\n".join(f"      {key}: %s" for key in keys)
+    return tuple(last[name] for name in names), "    {\n" + fields + "\n    }"
+
+
+def _json_metadata(table: ProfileTable) -> dict:
+    return {k: _json_value(v) for k, v in sorted(table.metadata.items())}
+
+
 def table_payload(table: ProfileTable) -> dict:
-    """JSON-ready form of a table, shared by emit() and reports."""
+    """JSON-ready form of a table, for reports."""
+    values = _cells(table, range(len(table.columns)), "value")
     return {
         "axis": table.axis,
-        "metadata": {k: _json_value(v) for k, v in
-                     sorted(table.metadata.items())},
+        "metadata": _json_metadata(table),
         "columns": list(table.columns),
-        "rows": [
-            {name: _json_value(cell)
-             for name, cell in zip(table.columns, row)}
-            for row in table.rows
-        ],
+        "rows": list(map(dict, map(zip, repeat(table.columns),
+                                   _rows(values, len(table.rows))))),
     }
 
 
@@ -408,17 +521,32 @@ def dump_json(payload) -> str:
 
 
 def emit(table: ProfileTable, fmt: str = "csv") -> str:
-    """Render a table deterministically as CSV or JSON text; a NaN or
-    infinity in a cell or in the metadata raises NonFiniteResult."""
+    """Render a table deterministically as CSV or JSON text.
+
+    JSON text is laid out as :func:`dump_json` lays out
+    :func:`table_payload`.  A NaN or infinity in a cell or in the metadata
+    raises NonFiniteResult, and a row whose length differs from the
+    columns InvalidParameter.
+    """
     if fmt == "csv":
         lines = [f"# {key}={_format_cell(value)}"
                  for key, value in sorted(table.metadata.items())]
         lines.append(",".join(table.columns))
-        lines.extend(",".join(_format_cell(cell) for cell in row)
-                     for row in table.rows)
+        texts = _cells(table, range(len(table.columns)), "csv")
+        row = ",".join(("%s",) * len(texts))
+        lines.extend(map(row.__mod__, _rows(texts, len(table.rows))))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return dump_json(table_payload(table))
+        # The header's keys sort before "rows", so the rows follow it.
+        header = dump_json({"axis": table.axis,
+                            "columns": list(table.columns),
+                            "metadata": _json_metadata(table)})[:-3]
+        order, row = _json_row(tuple(table.columns))
+        texts = _cells(table, order, "json")
+        if not table.rows:
+            return header + ',\n  "rows": []\n}\n'
+        rows = ",\n".join(map(row.__mod__, _rows(texts, len(table.rows))))
+        return header + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
     raise InvalidParameter(f"unknown table format {fmt!r}")
 
 
@@ -510,15 +638,26 @@ def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
 
     The drawdown levels step up by 1 from the scheduled total, and the
     inlet floor defaults to 80 percent of nominal (the 20 percent drop
-    rule).
+    rule).  Where the base field has several + to - gradient crossings,
+    the coupling point is the one of highest pressure.
     """
     cfg = scenario.pipeline
     tap = scenario.tap_position()
     start = scenario.schedule.total()
     if p_min is None:
         p_min = 0.8 * cfg.nominal_pressure()
-    coupling = find_coupling_point(coupling_time_s, scenario.schedule, cfg,
-                                   scenario.series)
+    try:
+        coupling = find_coupling_point(coupling_time_s, scenario.schedule,
+                                       cfg, scenario.series)
+    except MultipleExtrema as exc:
+        # The coupling point is the ring's pressure maximum: the highest
+        # crossing, the first of equals.
+        pressures = _pressure_field(exc.candidates, coupling_time_s,
+                                    EMPTY_SCHEDULE, cfg, scenario.series)[0]
+        best = int(np.argmax(pressures))
+        position, peak = exc.candidates[best], float(pressures[best])
+    else:
+        position, peak = coupling.position_m, coupling.pressure_pa
     return {
         "scenario": {
             "hash": scenario.scenario_hash(),
@@ -528,8 +667,8 @@ def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
         },
         "coupling": {
             "time_s": _json_value(coupling_time_s),
-            "gradient_zero_m": _json_value(coupling.position_m),
-            "pressure_pa": _json_value(coupling.pressure_pa),
+            "gradient_zero_m": _json_value(position),
+            "pressure_pa": _json_value(peak),
             "configured_tap_m": _json_value(tap),
         },
         "tables": {

@@ -43,6 +43,25 @@ def scenario(scenario_text):
     return load_scenario(scenario_text)
 
 
+@pytest.fixture(scope="session")
+def two_maxima_text() -> str:
+    """A truncated plain-route scenario whose base field, at t = 1.262725154
+    s, has two + to - gradient crossings, near 3845 m and 8602 m."""
+    return """\
+pipeline:
+  length_m: 35000
+  sound_speed_m_s: 321.0011293
+  linearization_a_per_s: 0.09836645993
+  inlet_pressure_pa: 199936.1449
+  base_flow: 11.68667824
+withdrawals:
+  - {position_m: 5452, rate: 28.99820207}
+series:
+  truncation: 10
+  closed_form_acceleration: false
+"""
+
+
 @pytest.fixture(scope="class")
 def pure_python_codec():
     """Scenarios read and written with PyYAML's pure-Python codec."""

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import ringflow.cli as cli
+import ringflow.scenario as scenario_module
 from ringflow import oracle
 from ringflow.cli import run
 
@@ -227,6 +229,21 @@ class TestReport:
         _, second, _ = invoke(capsys, "report", "--scenario", REF)
         assert first == second
 
+    def test_several_crossings(self, capsys, tmp_path, two_maxima_text):
+        # The report gives the higher maximum; node refuses to choose.
+        path = tmp_path / "two-maxima.yaml"
+        path.write_text(two_maxima_text)
+        code, out, err = invoke(capsys, "report", "--scenario", str(path),
+                                "--time", "1.262725154",
+                                "--pmin", "106044.1626")
+        assert code == 0 and err == ""
+        assert json.loads(out)["coupling"]["gradient_zero_m"] \
+            == pytest.approx(3844.95, abs=0.01)
+        code, out, err = invoke(capsys, "node", "--scenario", str(path),
+                                "--time", "1.262725154")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "MultipleExtrema"
+
 
 class TestNonFiniteJson:
     @pytest.mark.filterwarnings("error")
@@ -357,6 +374,26 @@ class TestPlumbing:
         line, = err.splitlines()
         assert json.loads(line)["error"] == "FileNotFoundError"
         assert not target.exists()
+
+    def test_unforeseen_error_is_one_json_line(self, capsys, monkeypatch):
+        def broken(ns):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        code, out, err = invoke(capsys, "classify", "--nominal", "125000",
+                                "--current", "100000")
+        assert code == 3 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line) == {"error": "RuntimeError",
+                                    "message": "a defect"}
+
+    def test_drawdown_cell_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(scenario_module, "MAX_DRAWDOWN_CELLS", 3)
+        code, out, err = invoke(capsys, "drawdown", "--scenario", REF,
+                                "--levels", "11,12", "--times", "50")
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "InvalidParameter"
 
     @pytest.mark.parametrize("argv", [
         ("pressure", "--x", "100", "--time", "nan", "--format", "json"),

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
                       InfeasibleConstraint, InvalidParameter,
-                      NonFiniteResult, OutOfDomain, ParseError,
-                      PipelineConfig, RingflowError, SafetyThresholds,
-                      Scenario, SeriesOptions, ValidationError,
-                      WithdrawalModel, WithdrawalSchedule, admissible_table,
+                      MultipleExtrema, NonFiniteResult, OutOfDomain,
+                      ParseError, PipelineConfig, RingflowError,
+                      SafetyThresholds, Scenario, SeriesOptions,
+                      ValidationError, WithdrawalModel, WithdrawalSchedule,
+                      admissible_table,
                       build_report, drawdown_table, dump_scenario, emit,
-                      gradient_table, load_scenario)
+                      find_coupling_point, gradient_table, load_scenario)
 import ringflow.scenario as scenario_module
 from ringflow.scenario import ProfileTable
 from yaml_codecs import CODECS, scenario_codec
@@ -338,6 +339,19 @@ class TestDrawdownTable:
         table = drawdown_table(scenario, [0.0], [50.0], [11.0], tap_m=9000.0)
         assert table.metadata["tap_m"] == 9000.0
 
+    def test_cell_cap(self, scenario, monkeypatch):
+        monkeypatch.setattr(scenario_module, "MAX_DRAWDOWN_CELLS", 12)
+        assert len(drawdown_table(scenario, [0.0, 1.0], [50.0, 100.0],
+                                  [11.0, 12.0, 13.0]).rows) == 12
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the field was evaluated")
+
+        monkeypatch.setattr(scenario_module, "_pressure_field", no_kernel)
+        monkeypatch.setattr(scenario_module, "_unit_drop", no_kernel)
+        with pytest.raises(InvalidParameter, match="13 cells .* exceeds 12"):
+            drawdown_table(scenario, [0.0], [50.0] * 13, [11.0])
+
 
 class TestAdmissibleTable:
     def test_reference_anchor(self, scenario):
@@ -487,6 +501,22 @@ class TestReport:
             "diffusion-equation-orientation",
             "tap-position-vs-gradient-zero",
         ]
+
+    def test_several_crossings_report_the_highest(self, two_maxima_text):
+        scenario = load_scenario(two_maxima_text)
+        with pytest.raises(MultipleExtrema) as caught:
+            find_coupling_point(1.262725154, scenario.schedule,
+                                scenario.pipeline, scenario.series)
+        assert len(caught.value.candidates) == 2
+        report = build_report(scenario, coupling_time_s=1.262725154,
+                              p_min=106044.1626)
+        coupling = report["coupling"]
+        assert coupling["gradient_zero_m"] == pytest.approx(3844.95, abs=0.01)
+        assert coupling["pressure_pa"] == 160486.0
+        assert set(coupling) == {"time_s", "gradient_zero_m", "pressure_pa",
+                                 "configured_tap_m"}
+        assert set(report["tables"]) == {"gradient", "drawdown",
+                                         "admissible"}
 
     def test_report_is_json_serializable_and_stable(self, scenario):
         one = json.dumps(build_report(scenario), sort_keys=True)

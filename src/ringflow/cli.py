@@ -11,6 +11,10 @@ codes: 0 success, 1 usage or parse problem, 2 validation failure,
 3 numerical failure (no extremum, solver residual, tolerance exceeded, a
 non-finite number in the output) or any other, unforeseen error.
 Errors print one JSON object per line on standard error.
+
+``classify``, ``echo-config`` and every query refused before its scenario
+is valid run without numpy: a handler imports its numeric module only
+once its scenario has loaded.
 """
 
 from __future__ import annotations
@@ -20,17 +24,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .core import SafetyThresholds
+from .core import SafetyThresholds, classify_pressure_drop
 from .errors import ParseError, RingflowError
-from .optimize import (classify_pressure_drop, find_coupling_point,
-                       max_admissible_withdrawal)
-from .oracle import OracleGrid, compare_with_series, simulate
-from .scenario import (ProfileTable, Scenario, admissible_table,
-                       build_report, drawdown_table, dump_json,
-                       dump_scenario, emit, gradient_table, load_scenario)
-from .series import sample
+from .scenario import (ProfileTable, Scenario, build_report, drawdown_table,
+                       dump_json, dump_scenario, emit, gradient_table,
+                       load_scenario)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,6 +182,22 @@ def _load(ns) -> Scenario:
     return load_scenario(text)
 
 
+def _numeric(compute):
+    """A handler that loads its scenario, then runs ``compute(ns,
+    scenario)`` with numpy's floating-point warnings off.
+
+    numpy, and the module ``compute`` imports, load only once the scenario
+    is valid.  An overflow reaches the output as inf and fails as
+    NonFiniteResult; numpy's warning would be a second stderr line.
+    """
+    def handler(ns):
+        scenario = _load(ns)
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return compute(ns, scenario)
+    return handler
+
+
 def _one_row_table(scenario: Scenario | None, columns, row,
                    extra_metadata=None) -> ProfileTable:
     metadata = {}
@@ -194,8 +208,9 @@ def _one_row_table(scenario: Scenario | None, columns, row,
                         rows=(tuple(row),), metadata=metadata)
 
 
-def _cmd_node(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_node(ns, scenario):
+    from .optimize import find_coupling_point
     point = find_coupling_point(
         ns.time, scenario.schedule, scenario.pipeline, scenario.series,
         grid_step=ns.grid_step,
@@ -208,8 +223,9 @@ def _cmd_node(ns):
     return emit(table, ns.format), None
 
 
-def _cmd_pressure(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_pressure(ns, scenario):
+    from .series import sample
     result = sample(ns.x, ns.time, scenario.schedule, scenario.pipeline,
                     scenario.series)
     table = _one_row_table(
@@ -219,15 +235,15 @@ def _cmd_pressure(ns):
     return emit(table, ns.format), None
 
 
-def _cmd_gradient_table(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_gradient_table(ns, scenario):
     times = _float_list(ns.times, "--times")
     table = gradient_table(scenario, times, ns.dx)
     return emit(table, ns.format), None
 
 
-def _cmd_drawdown(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_drawdown(ns, scenario):
     levels = _float_list(ns.levels, "--levels")
     times = _float_list(ns.times, "--times")
     tap = ns.at if ns.at is not None else scenario.tap_position()
@@ -239,8 +255,9 @@ def _cmd_drawdown(ns):
     return emit(table, ns.format), None
 
 
-def _cmd_max_draw(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_max_draw(ns, scenario):
+    from .optimize import max_admissible_withdrawal
     cfg = scenario.pipeline
     tap = ns.at if ns.at is not None else scenario.tap_position()
     result = max_admissible_withdrawal(
@@ -274,8 +291,9 @@ def _cmd_classify(ns):
     return emit(table, ns.format), None
 
 
-def _cmd_validate(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_validate(ns, scenario):
+    from .oracle import OracleGrid, compare_with_series, simulate
     times = _float_list(ns.times, "--times")
     if not times:
         raise UsageError("--times: at least one snapshot time is required")
@@ -305,8 +323,8 @@ def _cmd_validate(ns):
         f"mean_drop_rel_err {mean:.6g} (limit {VALIDATE_MEAN_LIMIT:g})")
 
 
-def _cmd_report(ns):
-    scenario = _load(ns)
+@_numeric
+def _cmd_report(ns, scenario):
     bundle = build_report(scenario, coupling_time_s=ns.time, p_min=ns.pmin)
     return dump_json(bundle), None
 
@@ -348,10 +366,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        # An overflow reaches the output as inf and fails as
-        # NonFiniteResult; numpy's warning would be a second stderr line.
-        with np.errstate(all="ignore"):
-            text, failure = _HANDLERS[ns.subcommand](ns)
+        text, failure = _HANDLERS[ns.subcommand](ns)
         if ns.output:
             with open(ns.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -1,4 +1,5 @@
-"""Domain types and derived constants for a closed-ring gas main.
+"""Domain types, derived constants and the safety classification of a
+pressure drop for a closed-ring gas main.
 
 Units are SI throughout: pressures in Pa, lengths in m, times in s, the
 linearization damping rate in 1/s.  Flow strengths (base throughput and
@@ -189,3 +190,40 @@ class SafetyThresholds:
                  <= self.unsafe_min < 1.0,
                  "thresholds must satisfy 0 < optimal <= permissible "
                  "<= unsafe < 1")
+
+
+class Band(str, enum.Enum):
+    OPTIMAL = "Optimal"
+    PERMISSIBLE = "Permissible"
+    CAUTION = "Caution"
+    UNSAFE = "Unsafe"
+
+
+@dataclass(frozen=True)
+class DropClassification:
+    drop_fraction: float
+    band: Band
+
+
+def classify_pressure_drop(p_nominal: float, p_current: float,
+                           thresholds: SafetyThresholds | None = None
+                           ) -> DropClassification:
+    """Band the relative drop (p_nominal - p_current) / p_nominal.
+
+    Negative drops (pressure above nominal) land in the Optimal band.  The
+    band between ``permissible_max`` and ``unsafe_min`` is reported as
+    Caution.
+    """
+    thresholds = thresholds or SafetyThresholds()
+    if p_nominal <= 0.0:
+        raise InvalidParameter("p_nominal must be > 0")
+    drop = (p_nominal - p_current) / p_nominal
+    if drop <= thresholds.optimal_max:
+        band = Band.OPTIMAL
+    elif drop <= thresholds.permissible_max:
+        band = Band.PERMISSIBLE
+    elif drop <= thresholds.unsafe_min:
+        band = Band.CAUTION
+    else:
+        band = Band.UNSAFE
+    return DropClassification(drop_fraction=drop, band=band)

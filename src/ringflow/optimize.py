@@ -1,15 +1,15 @@
-"""Coupling-point location, withdrawal inversion and safety classification.
+"""Coupling-point location and withdrawal inversion.
 
 The coupling point is the pressure maximum of the ring: the position where
 a new consumer can be attached with the least disturbance.  Because the
 pressure there is affine in the withdrawal total, the admissible withdrawal
 under an inlet-pressure floor has a closed-form inversion, which is cross-
-checked by bisection.
+checked by bisection.  The safety classification of a pressure drop lives
+in :mod:`ringflow.core`, which needs no numpy, and is re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .core import (GradientMode, PipelineConfig, SafetyThresholds,
-                   SeriesOptions, WithdrawalSchedule)
+from .core import (Band, DropClassification, GradientMode, PipelineConfig,
+                   SeriesOptions, WithdrawalSchedule, classify_pressure_drop)
 from .errors import (InfeasibleConstraint, InvalidParameter, MultipleExtrema,
                      NegativeWithdrawalWarning, NoExtremum, OutOfDomain)
 from .series import DEFAULT_OPTIONS
@@ -52,19 +52,6 @@ class AdmissibleWithdrawal:
     binding_time_s: float       # time at which the floor binds
     inlet_pressure_pa: float    # inlet pressure at the binding time
     per_unit_drop_pa: float     # inlet drop per unit of withdrawal
-
-
-class Band(str, enum.Enum):
-    OPTIMAL = "Optimal"
-    PERMISSIBLE = "Permissible"
-    CAUTION = "Caution"
-    UNSAFE = "Unsafe"
-
-
-@dataclass(frozen=True)
-class DropClassification:
-    drop_fraction: float
-    band: Band
 
 
 def _bisect_root(grad, lo: float, hi: float) -> float:
@@ -262,27 +249,3 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
         inlet_pressure_pa=nominal - total * drop_max,
         per_unit_drop_pa=drop_max,
     )
-
-
-def classify_pressure_drop(p_nominal: float, p_current: float,
-                           thresholds: SafetyThresholds | None = None
-                           ) -> DropClassification:
-    """Band the relative drop (p_nominal - p_current) / p_nominal.
-
-    Negative drops (pressure above nominal) land in the Optimal band.  The
-    band between ``permissible_max`` and ``unsafe_min`` is reported as
-    Caution.
-    """
-    thresholds = thresholds or SafetyThresholds()
-    if p_nominal <= 0.0:
-        raise InvalidParameter("p_nominal must be > 0")
-    drop = (p_nominal - p_current) / p_nominal
-    if drop <= thresholds.optimal_max:
-        band = Band.OPTIMAL
-    elif drop <= thresholds.permissible_max:
-        band = Band.PERMISSIBLE
-    elif drop <= thresholds.unsafe_min:
-        band = Band.CAUTION
-    else:
-        band = Band.UNSAFE
-    return DropClassification(drop_fraction=drop, band=band)

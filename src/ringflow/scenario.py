@@ -33,6 +33,10 @@ Documents are read and written with libyaml's C codec (``CSafeLoader``,
 ``SafeLoader``/``SafeDumper`` otherwise.  Both share PyYAML's constructor,
 representer and resolver, so scalar typing and dumped text are the same;
 only the message texts of :class:`ParseError` depend on the codec.
+
+Loading, dumping, hashing and emission need no numpy.  The tables and the
+report import numpy and the numeric modules when called, so a process that
+only reads or writes scenarios never loads them.
 """
 
 from __future__ import annotations
@@ -47,16 +51,12 @@ from dataclasses import MISSING, dataclass, fields
 from itertools import chain, compress, repeat
 from operator import add
 
-import numpy as np
 import yaml
 
 from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
 from .errors import (InvalidParameter, MultipleExtrema, NonFiniteResult,
                      ParseError, ValidationError)
-from .optimize import _inlet_floor, find_coupling_point
-from .series import (EMPTY_SCHEDULE, _pressure_field, _regularized_gradient,
-                     _unit_drop)
 
 #: The YAML codec, libyaml's where available (see the module docstring).
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -199,6 +199,11 @@ class Scenario:
         }
 
     def scenario_hash(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        # Once per instance: every table and the report embed the hash.
         canonical = json.dumps(self.normalized(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
@@ -284,6 +289,7 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidParameter(
             f"dx {dx:g} does not divide ring length {cfg.length_m:g}")
+    from .series import _regularized_gradient
     positions = [i * dx for i in range(int(round(steps)))]
     positions.append(cfg.length_m)  # i * dx can round past L
     grad = _regularized_gradient(positions, t_list, scenario.schedule, cfg,
@@ -321,6 +327,9 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
     for g in g_levels:
         if not 0.0 <= g < math.inf:
             raise InvalidParameter(f"withdrawal level {g:g} outside [0, inf)")
+    import numpy as np
+
+    from .series import EMPTY_SCHEDULE, _pressure_field, _unit_drop
     base = _pressure_field(x_list, t_list, EMPTY_SCHEDULE, cfg,
                            scenario.series)
     drop = _unit_drop(x_list, t_list, tap, cfg, scenario.series)
@@ -350,6 +359,10 @@ def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
     for t in t_list:
         if not 0.0 < t < math.inf:
             raise InvalidParameter("admissible table requires a finite t > 0")
+    import numpy as np
+
+    from .optimize import _inlet_floor
+    from .series import EMPTY_SCHEDULE, _pressure_field, _unit_drop
     opts = scenario.series
     budget, drops = _inlet_floor(p_min, tap, t_list, cfg, opts)
     bad = np.flatnonzero(drops <= 0.0)
@@ -646,6 +659,10 @@ def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
     start = scenario.schedule.total()
     if p_min is None:
         p_min = 0.8 * cfg.nominal_pressure()
+    import numpy as np
+
+    from .optimize import find_coupling_point
+    from .series import EMPTY_SCHEDULE, _pressure_field
     try:
         coupling = find_coupling_point(coupling_time_s, scenario.schedule,
                                        cfg, scenario.series)

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import json
 import math
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
                       build_report, drawdown_table, dump_scenario, emit,
                       find_coupling_point, gradient_table, load_scenario)
 import ringflow.scenario as scenario_module
+import ringflow.series as series_module
 from ringflow.scenario import ProfileTable
 from yaml_codecs import CODECS, scenario_codec
 
@@ -347,8 +350,9 @@ class TestDrawdownTable:
         def no_kernel(*args, **kwargs):
             raise AssertionError("the field was evaluated")
 
-        monkeypatch.setattr(scenario_module, "_pressure_field", no_kernel)
-        monkeypatch.setattr(scenario_module, "_unit_drop", no_kernel)
+        # drawdown_table reads its kernels from the series module when called.
+        monkeypatch.setattr(series_module, "_pressure_field", no_kernel)
+        monkeypatch.setattr(series_module, "_unit_drop", no_kernel)
         with pytest.raises(InvalidParameter, match="13 cells .* exceeds 12"):
             drawdown_table(scenario, [0.0], [50.0] * 13, [11.0])
 
@@ -517,6 +521,24 @@ class TestReport:
                                  "configured_tap_m"}
         assert set(report["tables"]) == {"gradient", "drawdown",
                                          "admissible"}
+
+    def test_report_hashes_once(self, scenario_text, monkeypatch):
+        digests = []
+
+        def sha256(data):
+            digests.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(scenario_module, "hashlib",
+                            types.SimpleNamespace(sha256=sha256))
+        scenario = load_scenario(scenario_text)
+        report = build_report(scenario)
+        assert len(digests) == 1
+        assert report["scenario"]["hash"] == "70d5dc407302"
+        assert {table["metadata"]["scenario"]
+                for table in report["tables"].values()} == {"70d5dc407302"}
+        assert scenario.scenario_hash() == "70d5dc407302"
+        assert len(digests) == 1
 
     def test_report_is_json_serializable_and_stable(self, scenario):
         one = json.dumps(build_report(scenario), sort_keys=True)

@@ -212,11 +212,14 @@ def classify_pressure_drop(p_nominal: float, p_current: float,
 
     Negative drops (pressure above nominal) land in the Optimal band.  The
     band between ``permissible_max`` and ``unsafe_min`` is reported as
-    Caution.
+    Caution.  Both pressures must be finite.
     """
     thresholds = thresholds or SafetyThresholds()
     if p_nominal <= 0.0:
         raise InvalidParameter("p_nominal must be > 0")
+    if not (math.isfinite(p_nominal) and math.isfinite(p_current)):
+        raise InvalidParameter(f"pressures must be finite: nominal "
+                               f"{p_nominal:g}, current {p_current:g}")
     drop = (p_nominal - p_current) / p_nominal
     if drop <= thresholds.optimal_max:
         band = Band.OPTIMAL

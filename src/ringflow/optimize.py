@@ -33,6 +33,9 @@ CURVATURE_STEP_FRACTION = 1.0 / 3000.0
 #: Times at which the max-draw inlet drop is sampled over the horizon.
 TIME_SAMPLES = 240
 
+#: Most grid steps L/grid_step of the coupling-point scan.
+MAX_SCAN_STEPS = 10**5
+
 
 @dataclass(frozen=True)
 class CouplingPoint:
@@ -85,12 +88,17 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     concavity with a second central difference.  Raises
     :class:`NoExtremum` when the gradient never changes sign (for instance
     at t = 0) and :class:`MultipleExtrema`, with all refined candidates
-    attached, when more than one crossing exists.
+    attached, when more than one crossing exists.  A grid of more than
+    :data:`MAX_SCAN_STEPS` steps is refused before any field evaluation.
     """
     if t == 0.0:
         raise NoExtremum("the gradient is identically zero at t = 0")
     if not 0.0 < grid_step < cfg.length_m:
         raise InvalidParameter("grid_step must lie in (0, L)")
+    # Compared as floats: a subnormal step makes the quotient inf.
+    if not cfg.length_m / grid_step <= MAX_SCAN_STEPS:
+        raise InvalidParameter(
+            f"grid_step {grid_step:g} gives more than {MAX_SCAN_STEPS} steps")
 
     # The base, pre-connection field by default; with include_withdrawals
     # the full gradient of the loaded field.
@@ -214,7 +222,7 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
     """
     if not 0.0 < horizon_s < math.inf:
         raise InvalidParameter("horizon_s must be finite and > 0")
-    if g_max is not None and g_max < 0.0:
+    if g_max is not None and not g_max >= 0.0:     # NaN too
         raise InvalidParameter("g_max must be >= 0 or None")
     times = horizon_s * np.arange(1, TIME_SAMPLES + 1) / TIME_SAMPLES
     budget, drops = _inlet_floor(p_min, x_new, times, cfg, opts)

@@ -48,7 +48,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import add
 
 import yaml
@@ -66,8 +66,9 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 #: position, L itself).
 MAX_POSITIONS = 10**5
 
-#: Most cells, levels x positions x times, of a drawdown table.
-MAX_DRAWDOWN_CELLS = 10**6
+#: Most cells of a gradient table (positions x times) or a drawdown table
+#: (levels x positions x times).
+MAX_TABLE_CELLS = 10**6
 
 #: The scenario format.  Each section names the dataclass it builds and
 #: maps its YAML keys, in document order, to that dataclass's fields.  A
@@ -276,7 +277,9 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     """Spatial gradient scan at each time, rows sorted by position.
 
     dx must divide the ring length into at most :data:`MAX_POSITIONS`
-    steps; withdrawal positions report the regularized gradient 0.
+    steps, and the table may hold at most :data:`MAX_TABLE_CELLS` cells;
+    both are checked before any field evaluation.  Withdrawal positions
+    report the regularized gradient 0.
     """
     cfg = scenario.pipeline
     if not 0.0 < dx < math.inf:
@@ -289,6 +292,11 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidParameter(
             f"dx {dx:g} does not divide ring length {cfg.length_m:g}")
+    cells = (round(steps) + 1) * len(t_list)
+    if cells > MAX_TABLE_CELLS:
+        raise InvalidParameter(
+            f"gradient table of {cells} cells (positions x times) "
+            f"exceeds {MAX_TABLE_CELLS}")
     from .series import _regularized_gradient
     positions = [i * dx for i in range(int(round(steps)))]
     positions.append(cfg.length_m)  # i * dx can round past L
@@ -311,16 +319,16 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
 
     Levels are evaluated in point mode regardless of the scenario's
     withdrawal_model; the one-sided model has no junction analogue.  A
-    table of more than :data:`MAX_DRAWDOWN_CELLS` cells is refused before
-    any field evaluation.
+    table of more than :data:`MAX_TABLE_CELLS` cells is refused before any
+    field evaluation.
     """
     cfg = scenario.pipeline
     tap = scenario.tap_position() if tap_m is None else tap_m
     cells = len(g_levels) * len(x_list) * len(t_list)
-    if cells > MAX_DRAWDOWN_CELLS:
+    if cells > MAX_TABLE_CELLS:
         raise InvalidParameter(
             f"drawdown of {cells} cells (levels x positions x times) "
-            f"exceeds {MAX_DRAWDOWN_CELLS}")
+            f"exceeds {MAX_TABLE_CELLS}")
     if not 0.0 <= tap < cfg.length_m:
         raise InvalidParameter(
             f"tap position {tap:g} out of range [0, {cfg.length_m:g})")
@@ -389,15 +397,10 @@ def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
 # emission
 # ---------------------------------------------------------------------------
 
-#: Cell types whose columns are formatted in one pass: CSV takes ints and
+#: Cell types a table is formatted in one pass for: CSV takes ints and
 #: floats, JSON only floats (it writes int cells unrounded).
 _CSV_NUMBERS = frozenset((float, int))
 _JSON_NUMBERS = frozenset((float,))
-
-#: How json writes the scalars it does not lay out, by exact type.
-_JSON_SCALARS = {bool: lambda value: "true" if value else "false",
-                 type(None): lambda value: "null",
-                 int: int.__repr__, str: json.dumps}
 
 
 def _format_cell(value) -> str:
@@ -420,57 +423,15 @@ def _json_value(value):
     return 0.0 if rounded == 0.0 else rounded
 
 
-def _json_text(value) -> str:
-    """A JSON-ready cell as :func:`dump_json` writes it inside a row."""
-    write = _JSON_SCALARS.get(type(value))
-    if write is not None:
-        return write(value)
-    return dump_json(value)[:-1].replace("\n", "\n      ")
+def _numbers(table: ProfileTable, kinds, row: str) -> str | None:
+    """The template ``row``, one ``%.6g`` per column, filled with every
+    row's cells in one ``%`` pass, -0.0 folded to 0.0 first.
 
-
-def _encode(columns: list, form: str) -> list:
-    """Columns of cells as lists of CSV texts (form "csv"), JSON texts
-    ("json") or JSON-ready values ("value").
-
-    The cells of all plain-number columns (floats; for CSV ints too) have
-    -0.0 folded to 0.0 and are formatted to 6 significant digits in one
-    pass, which JSON reads back as floats.  Other columns go cell by cell
-    through :func:`_format_cell` or :func:`_json_value`.  Texts of a NaN
-    or an infinity raise NonFiniteResult; :func:`_cells` names the cell.
-    """
-    numbers = _CSV_NUMBERS if form == "csv" else _JSON_NUMBERS
-    plain = [numbers.issuperset(map(type, cells)) for cells in columns]
-    flat = tuple(map(add, chain.from_iterable(compress(columns, plain)),
-                     repeat(0.0)))
-    text = ("%.6g " * len(flat)) % flat
-    if form != "value" and "n" in text:            # nan, inf
-        raise NonFiniteResult("result is not finite")
-    formatted = text.split()
-    if form != "csv":
-        formatted = list(map(float, formatted))
-    if form == "json":
-        formatted = list(map(float.__repr__, formatted))
-    encoded, start = [], 0
-    for cells, is_plain in zip(columns, plain):
-        if is_plain:
-            encoded.append(formatted[start:start + len(cells)])
-            start += len(cells)
-        elif form == "csv":
-            encoded.append(list(map(_format_cell, cells)))
-        else:
-            values = list(map(_json_value, cells))
-            encoded.append(values if form == "value"
-                           else list(map(_json_text, values)))
-    return encoded
-
-
-def _cells(table: ProfileTable, order, form: str) -> list:
-    """The table's columns at the indices ``order``, through
-    :func:`_encode`.
-
-    A row whose length differs from the columns raises InvalidParameter.
-    A NaN or an infinity raises NonFiniteResult naming the first one met
-    row by row, in ``order`` within a row.
+    Only for a table with cells, each exactly of a type in ``kinds`` and
+    all finite; for any other None, and the caller takes the per-cell rule
+    (:func:`_format_cell`, :func:`_json_value`), which raises on the first
+    NaN or infinity as the reference emitter does.  A row whose length
+    differs from the columns raises InvalidParameter.
     """
     width = len(table.columns)
     if not set(map(len, table.rows)) <= {width}:
@@ -478,21 +439,14 @@ def _cells(table: ProfileTable, order, form: str) -> list:
                      if len(row) != width)
         raise InvalidParameter(f"row {index} has {len(table.rows[index])} "
                                f"cells for {width} columns")
-    columns = list(zip(*table.rows)) or [()] * width
+    cells = tuple(chain.from_iterable(table.rows))
+    if not cells or not kinds.issuperset(map(type, cells)):
+        return None
     try:
-        return _encode(list(map(columns.__getitem__, order)), form)
-    except NonFiniteResult:
-        one = _format_cell if form == "csv" else \
-            (lambda cell: _json_text(_json_value(cell)))
-        for row in table.rows:
-            for i in order:
-                one(row[i])
-        raise
-
-
-def _rows(columns: list, count: int):
-    """Rows of per-column lists; ``count`` empty rows without columns."""
-    return zip(*columns) if columns else repeat((), count)
+        text = (row * len(table.rows)) % tuple(map(add, cells, repeat(0.0)))
+    except OverflowError:                         # an int beyond the floats
+        return None
+    return None if "n" in text else text          # nan, inf
 
 
 @functools.lru_cache(maxsize=64)
@@ -501,8 +455,6 @@ def _json_row(columns: tuple) -> tuple:
     of duplicate names wins, as in a dict), and the row's template."""
     last = {name: index for index, name in enumerate(columns)}
     names = sorted(last)
-    if not names:
-        return (), "    {}"
     keys = [json.dumps(name).replace("%", "%%") for name in names]
     fields = ",\n".join(f"      {key}: %s" for key in keys)
     return tuple(last[name] for name in names), "    {\n" + fields + "\n    }"
@@ -514,14 +466,15 @@ def _json_metadata(table: ProfileTable) -> dict:
 
 def table_payload(table: ProfileTable) -> dict:
     """JSON-ready form of a table, for reports."""
-    values = _cells(table, range(len(table.columns)), "value")
-    return {
-        "axis": table.axis,
-        "metadata": _json_metadata(table),
-        "columns": list(table.columns),
-        "rows": list(map(dict, map(zip, repeat(table.columns),
-                                   _rows(values, len(table.rows))))),
-    }
+    width = len(table.columns)
+    text = _numbers(table, _JSON_NUMBERS, "%.6g " * width)
+    if text is None:
+        rows = (map(_json_value, row) for row in table.rows)
+    else:                                 # the floats, width at a time
+        rows = zip(*[map(float, text.split())] * width)
+    return {"axis": table.axis, "metadata": _json_metadata(table),
+            "columns": list(table.columns),
+            "rows": list(map(dict, map(zip, repeat(table.columns), rows)))}
 
 
 def dump_json(payload) -> str:
@@ -536,30 +489,35 @@ def dump_json(payload) -> str:
 def emit(table: ProfileTable, fmt: str = "csv") -> str:
     """Render a table deterministically as CSV or JSON text.
 
-    JSON text is laid out as :func:`dump_json` lays out
-    :func:`table_payload`.  A NaN or infinity in a cell or in the metadata
-    raises NonFiniteResult, and a row whose length differs from the
-    columns InvalidParameter.
+    JSON text is :func:`dump_json` of :func:`table_payload`.  A NaN or
+    infinity in a cell or in the metadata raises NonFiniteResult, and a
+    row whose length differs from the columns InvalidParameter.
     """
     if fmt == "csv":
         lines = [f"# {key}={_format_cell(value)}"
                  for key, value in sorted(table.metadata.items())]
         lines.append(",".join(table.columns))
-        texts = _cells(table, range(len(table.columns)), "csv")
-        row = ",".join(("%s",) * len(texts))
-        lines.extend(map(row.__mod__, _rows(texts, len(table.rows))))
+        body = _numbers(table, _CSV_NUMBERS,
+                        ",".join(("%.6g",) * len(table.columns)) + "\n")
+        if body is None:
+            lines.extend(",".join(map(_format_cell, row))
+                         for row in table.rows)
+        else:
+            lines.append(body[:-1])
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        width = len(table.columns)
+        text = _numbers(table, _JSON_NUMBERS, "%.6g " * width)
+        if text is None:
+            return dump_json(table_payload(table))
         # The header's keys sort before "rows", so the rows follow it.
         header = dump_json({"axis": table.axis,
                             "columns": list(table.columns),
                             "metadata": _json_metadata(table)})[:-3]
         order, row = _json_row(tuple(table.columns))
-        texts = _cells(table, order, "json")
-        if not table.rows:
-            return header + ',\n  "rows": []\n}\n'
-        rows = ",\n".join(map(row.__mod__, _rows(texts, len(table.rows))))
-        return header + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
+        reprs = list(map(float.__repr__, map(float, text.split())))
+        rows = map(row.__mod__, zip(*[reprs[i::width] for i in order]))
+        return header + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
     raise InvalidParameter(f"unknown table format {fmt!r}")
 
 

@@ -1,8 +1,9 @@
 """Reference table emitter.
 
-This is the emitter as ringflow shipped it before tables were rendered
-column by column: one ``_format_cell`` or ``_json_value`` call per cell and
-``json.dumps(..., indent=2)`` over the whole payload.  ``ringflow.emit`` and
+This is the per-cell rule, the emitter as ringflow shipped it before
+all-number tables were formatted in one pass: one ``_format_cell`` or
+``_json_value`` call per cell and ``json.dumps(..., indent=2)`` over the
+whole payload.  ``ringflow.emit`` and
 ``ringflow.table_payload`` must give the same text, payload and errors;
 ``tests/test_emit.py`` checks that.
 """

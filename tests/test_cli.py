@@ -5,6 +5,7 @@ import pytest
 
 import ringflow.cli as cli
 import ringflow.scenario as scenario_module
+import ringflow.series as series_module
 from ringflow import oracle
 from ringflow.cli import run
 
@@ -388,7 +389,7 @@ class TestPlumbing:
                                     "message": "a defect"}
 
     def test_drawdown_cell_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(scenario_module, "MAX_DRAWDOWN_CELLS", 3)
+        monkeypatch.setattr(scenario_module, "MAX_TABLE_CELLS", 3)
         code, out, err = invoke(capsys, "drawdown", "--scenario", REF,
                                 "--levels", "11,12", "--times", "50")
         assert code == 2 and out == ""
@@ -413,6 +414,39 @@ class TestPlumbing:
         assert code == 2 and out == ""
         line, = err.splitlines()
         assert "error" in json.loads(line)
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--nominal", "nan", "--current", "90"),
+        ("classify", "--nominal", "inf", "--current", "90"),
+        ("classify", "--nominal", "100", "--current", "nan"),
+        ("classify", "--nominal", "100", "--current", "inf"),
+        ("classify", "--nominal", "100", "--current=-inf"),
+        ("max-draw", "--scenario", REF, "--pmin", "100000", "--horizon",
+         "300", "--gmax", "nan"),
+    ])
+    def test_non_finite_number_is_invalid_parameter(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "InvalidParameter"
+
+    @pytest.mark.parametrize("argv", [
+        ("gradient-table", "--dx", "0.3",
+         "--times", ",".join(str(t) for t in range(1, 201))),
+        ("node", "--time", "100", "--grid-step", "0.0001"),
+    ])
+    def test_capped_scan_is_refused_unevaluated(self, capsys, monkeypatch,
+                                                argv):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the field was evaluated")
+
+        monkeypatch.setattr(series_module, "_regularized_gradient",
+                            no_kernel)
+        monkeypatch.setattr(series_module, "_gradient", no_kernel)
+        code, out, err = invoke(capsys, *argv, "--scenario", REF)
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "InvalidParameter"
 
     def test_truncation_above_cap_is_validation_error(self, capsys,
                                                      tmp_path):

@@ -1,12 +1,13 @@
-"""Column-wise table emission against the reference emitter.
+"""Table emission against the reference emitter.
 
 ``tests/emit_reference.py`` keeps the per-cell emitter that ringflow
-shipped before tables were rendered column by column.  For generated
-tables (0, 1 or many rows; float, int, bool, str and None cells; duplicate
-and non-ASCII column names; metadata of each type) ``emit`` in both
-formats and ``table_payload`` must give the same text and payload, and a
-NaN or an infinity anywhere must raise the same exception with the same
-message.
+shipped before all-number tables were formatted in one pass.  For
+generated tables (0, 1 or many rows; float, int, bool, str and None cells;
+duplicate and non-ASCII column names; metadata of each type) ``emit`` in
+both formats and ``table_payload`` must give the same text and payload,
+and a NaN or an infinity anywhere must raise the same exception with the
+same message.  All-number tables of up to 60 rows, which take the one-pass
+path, are generated on their own, with and without non-finite cells.
 """
 
 import math
@@ -20,6 +21,8 @@ from ringflow import InvalidParameter, NonFiniteResult, ProfileTable, emit
 from ringflow.scenario import table_payload
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+#: Fewer examples for tables of up to 60 rows, drawn cell by cell.
+NUMBER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 #: Floats at the edges of 6-digit formatting and of the float range.
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
@@ -78,6 +81,41 @@ def non_finite_tables(draw):
                         rows=tuple(map(tuple, rows)), metadata=metadata)
 
 
+#: Column names that repeat, or that a %-template would misread.
+number_names = st.sampled_from(("x_m", "t_s", "p_pa", "%s", "%%", "a%b",
+                                "%(x)s", "")) | names
+
+
+@st.composite
+def number_tables(draw, max_rows=60):
+    """Tables whose cells are all floats, or all floats and ints."""
+    width = draw(st.integers(1, 4))
+    columns = tuple(draw(st.lists(number_names, min_size=width,
+                                  max_size=width)))
+    cell = draw(st.sampled_from((floats, floats, floats | ints)))
+    count = draw(st.integers(0, max_rows))
+    rows = tuple(draw(st.lists(st.tuples(*[cell] * width), min_size=count,
+                               max_size=count)))
+    metadata = draw(st.dictionaries(names, floats | ints | texts,
+                                    max_size=3))
+    return ProfileTable(axis="space_scan", columns=columns, rows=rows,
+                        metadata=metadata)
+
+
+@st.composite
+def non_finite_number_tables(draw):
+    """An all-number table with one to three NaNs or infinities."""
+    table = draw(number_tables().filter(lambda table: table.rows))
+    rows = [list(row) for row in table.rows]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = \
+            draw(st.sampled_from(NON_FINITE))
+    return ProfileTable(axis=table.axis, columns=table.columns,
+                        rows=tuple(map(tuple, rows)),
+                        metadata=table.metadata)
+
+
 def outcome(call, *args):
     try:
         return "ok", call(*args)
@@ -104,6 +142,23 @@ def test_non_finite_values_raise_as_the_reference_does(table):
     assert repr(table_payload(table)) == repr(reference.table_payload(table))
 
 
+@NUMBER_SETTINGS
+@given(number_tables())
+def test_number_tables_equal_the_reference(table):
+    for fmt in ("csv", "json"):
+        assert emit(table, fmt) == reference.emit(table, fmt)
+    assert repr(table_payload(table)) == repr(reference.table_payload(table))
+
+
+@NUMBER_SETTINGS
+@given(non_finite_number_tables())
+def test_non_finite_number_cells_raise_as_the_reference_does(table):
+    for fmt in ("csv", "json"):
+        assert outcome(emit, table, fmt) \
+            == outcome(reference.emit, table, fmt)
+    assert repr(table_payload(table)) == repr(reference.table_payload(table))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
 def test_first_non_finite_value_is_named(fmt, value):
@@ -117,6 +172,16 @@ def test_first_non_finite_value_is_named(fmt, value):
     named = value if fmt == "csv" else -value
     assert str(caught.value).endswith(str(named)
                                       if fmt == "csv" else repr(named))
+
+
+def test_int_beyond_the_floats_after_a_nan_raises_as_the_reference_does():
+    # The reference meets the NaN first; an int too large for a float
+    # cannot be formatted in the one pass.
+    table = ProfileTable(axis="time_scan", columns=("a", "b"),
+                         rows=((1.0, 2), (math.nan, 10**400)), metadata={})
+    assert outcome(emit, table, "csv") == outcome(reference.emit, table,
+                                                  "csv")
+    assert outcome(emit, table, "csv")[0] is NonFiniteResult
 
 
 def test_nan_in_a_shadowed_duplicate_column_is_not_written_to_json():

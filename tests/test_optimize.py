@@ -3,6 +3,8 @@ import warnings
 
 import pytest
 
+import ringflow.optimize as optimize
+import ringflow.series as series
 from ringflow import (Band, InfeasibleConstraint, InvalidParameter,
                       MultipleExtrema, NegativeWithdrawalWarning, NoExtremum,
                       OutOfDomain, SafetyThresholds, SeriesOptions,
@@ -11,6 +13,10 @@ from ringflow import (Band, InfeasibleConstraint, InvalidParameter,
                       find_coupling_point, invert_withdrawal,
                       max_admissible_withdrawal, pressure_at_coupling,
                       tap_pressure)
+
+
+def no_kernel(*args, **kwargs):
+    raise AssertionError("the field was evaluated")
 
 
 class TestFindCouplingPoint:
@@ -59,6 +65,21 @@ class TestFindCouplingPoint:
     @pytest.mark.parametrize("step", [0.0, -10.0, 30000.0, math.nan])
     def test_bad_grid_step_rejected(self, cfg, schedule, step):
         with pytest.raises(InvalidParameter):
+            find_coupling_point(100.0, schedule, cfg, grid_step=step)
+
+    def test_scan_step_cap(self, cfg, schedule, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_SCAN_STEPS", 300)
+        assert find_coupling_point(100.0, schedule, cfg, grid_step=100.0)
+        monkeypatch.setattr(series, "_gradient", no_kernel)
+        with pytest.raises(InvalidParameter, match="more than 300 steps"):
+            find_coupling_point(100.0, schedule, cfg, grid_step=99.0)
+
+    @pytest.mark.parametrize("step", [1e-4, 5e-324])
+    def test_fine_scan_is_refused_unevaluated(self, cfg, schedule,
+                                             monkeypatch, step):
+        # 3 * 10^8 grid points, or an infinite count, against 10^5.
+        monkeypatch.setattr(series, "_gradient", no_kernel)
+        with pytest.raises(InvalidParameter, match="more than 100000 steps"):
             find_coupling_point(100.0, schedule, cfg, grid_step=step)
 
     def test_loaded_field_scan_reports_both_candidates(self, cfg, schedule):
@@ -234,6 +255,12 @@ class TestMaxAdmissibleWithdrawal:
         with pytest.raises(InvalidParameter, match="finite"):
             max_admissible_withdrawal(horizon, p_min, None, 12000.0, cfg)
 
+    def test_nan_cap_rejected(self, cfg):
+        # NaN passed a g_max < 0 check and meant "no cap".
+        with pytest.raises(InvalidParameter, match="g_max"):
+            max_admissible_withdrawal(300.0, 100000.0, math.nan, 12000.0,
+                                      cfg)
+
     def test_heaviside_uses_point_mode_drop(self, cfg):
         heaviside = SeriesOptions(withdrawal_model=WithdrawalModel.HEAVISIDE)
         got = max_admissible_withdrawal(300.0, 100000.0, None, 12000.0, cfg,
@@ -276,3 +303,10 @@ class TestClassifyPressureDrop:
     def test_requires_positive_nominal(self):
         with pytest.raises(InvalidParameter):
             classify_pressure_drop(0.0, 100.0)
+
+    @pytest.mark.parametrize("nominal,current", [
+        (math.nan, 100.0), (math.inf, 100.0), (125000.0, math.nan),
+        (125000.0, math.inf), (125000.0, -math.inf)])
+    def test_rejects_non_finite_pressures(self, nominal, current):
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            classify_pressure_drop(nominal, current)

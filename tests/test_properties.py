@@ -10,8 +10,11 @@ equals a per-snapshot recomputation, the regularized gradient is exactly
 0 at every tap, and both inlet-floor consumers reject the same inputs
 alike.  The inlet drop never falls in time in decay mode alpha, and does
 in mode a beyond alpha.  The accelerated route's adaptive truncation
-(N_eff) gives the full-truncation field.  Superposition and ring closure
-are covered by the acceptance tests.
+(N_eff) gives the full-truncation field.  In point mode the model's own
+invariants hold on random rings: ring closure P(0, t) == P(L, t) exactly,
+a field affine in the rates (its withdrawal response linear), and a
+one-tap response symmetric about its tap; the acceptance tests check them
+on the reference ring.
 """
 
 import math
@@ -391,3 +394,64 @@ def test_adaptive_truncation_count():
     assert series._modes(np.array([5e-324]), 0.01, opts) == 100
     assert series._modes(np.array([1e-320]), 1.0, opts) == 100
     assert series._modes(np.array([1e-6]), 1e-6, opts) == 100
+
+
+# ---------------------------------------------------------------------------
+# Model invariants in point mode.
+# ---------------------------------------------------------------------------
+
+point_options = options(withdrawal_model=WithdrawalModel.POINT)
+
+
+@SETTINGS
+@given(rings(), st.data())
+def test_ring_closure_is_exact(cfg, data):
+    # (x - x_i) mod L and the forced half-wave zeros make x = 0 and x = L
+    # the same point of the ring.
+    schedule = data.draw(schedules(cfg))
+    opts = data.draw(point_options)
+    for t in data.draw(times):
+        assert series.pressure(0.0, t, schedule, cfg, opts) \
+            == series.pressure(cfg.length_m, t, schedule, cfg, opts)
+
+
+@SETTINGS
+@given(problems(max_positions=12, withdrawal_model=WithdrawalModel.POINT),
+       st.lists(st.floats(0.0, 20.0), min_size=3, max_size=3),
+       st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_response_is_affine_in_the_rates(problem, other, a, b):
+    # The field is affine in the rates, so its response R is linear:
+    # R(a*r + b*s) == a*R(r) + b*R(s) for rates r and s at the same taps.
+    cfg, schedule, opts, xs, ts = problem
+    positions = [p.position_m for p in schedule.points]
+    first = [p.rate for p in schedule.points]
+    second = other[:len(positions)]
+
+    def response(rates):
+        return series._response_kernel(
+            xs, ts, WithdrawalSchedule.from_pairs(zip(positions, rates)),
+            cfg, opts)
+
+    mixed = [a * r + b * s for r, s in zip(first, second)]
+    _, r_scale, _ = scales(cfg, WithdrawalSchedule.from_pairs(
+        zip(positions, mixed)), ts)
+    error = np.abs(response(mixed)
+                   - (a * response(first) + b * response(second)))
+    assert np.all(error <= 1e-12 * r_scale)
+
+
+@SETTINGS
+@given(rings(), point_options, st.floats(0.0, 0.999), st.floats(0.01, 20.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), times)
+def test_one_tap_response_is_symmetric_about_its_tap(cfg, opts, fraction,
+                                                     rate, offsets, ts):
+    tap = fraction * cfg.length_m
+    schedule = WithdrawalSchedule.from_pairs([(tap, rate)])
+    length = cfg.length_m
+    distances = np.array(offsets) * length
+    after = series._response_kernel((tap + distances) % length, ts,
+                                    schedule, cfg, opts)
+    before = series._response_kernel((tap - distances) % length, ts,
+                                     schedule, cfg, opts)
+    _, r_scale, _ = scales(cfg, schedule, ts)
+    assert np.all(np.abs(after - before) <= 1e-12 * r_scale)

@@ -37,6 +37,10 @@ pipeline:
 """
 
 
+def no_gradient(*args, **kwargs):
+    raise AssertionError("the field was evaluated")
+
+
 class TestLoadScenario:
     def test_reference_scenario(self, scenario):
         assert scenario.pipeline.nominal_pressure() == 125000.0
@@ -289,6 +293,25 @@ class TestGradientTable:
         with pytest.raises(InvalidParameter, match="more than 30 steps"):
             gradient_table(scenario, [100.0], 999.0)
 
+    def test_cell_cap(self, scenario, monkeypatch):
+        monkeypatch.setattr(scenario_module, "MAX_TABLE_CELLS", 62)
+        assert len(gradient_table(scenario, [100.0, 200.0], 1000.0).rows) \
+            == 62
+        monkeypatch.setattr(series_module, "_regularized_gradient",
+                            no_gradient)
+        with pytest.raises(InvalidParameter,
+                           match="93 cells .* exceeds 62"):
+            gradient_table(scenario, [100.0, 200.0, 300.0], 1000.0)
+
+    def test_cell_cap_default(self, scenario, monkeypatch):
+        # 10^5 steps is the most positions allow; ten times exceed 10^6
+        # cells.
+        monkeypatch.setattr(series_module, "_regularized_gradient",
+                            no_gradient)
+        with pytest.raises(InvalidParameter,
+                           match="1000010 cells .* exceeds 1000000"):
+            gradient_table(scenario, [100.0] * 10, 0.3)
+
     @pytest.mark.parametrize("dx", [math.nan, math.inf])
     def test_rejects_non_finite_dx(self, scenario, dx):
         with pytest.raises(InvalidParameter):
@@ -343,7 +366,7 @@ class TestDrawdownTable:
         assert table.metadata["tap_m"] == 9000.0
 
     def test_cell_cap(self, scenario, monkeypatch):
-        monkeypatch.setattr(scenario_module, "MAX_DRAWDOWN_CELLS", 12)
+        monkeypatch.setattr(scenario_module, "MAX_TABLE_CELLS", 12)
         assert len(drawdown_table(scenario, [0.0, 1.0], [50.0, 100.0],
                                   [11.0, 12.0, 13.0]).rows) == 12
 

@@ -1,11 +1,13 @@
 """Coupling-point location and withdrawal inversion.
 
 The coupling point is the pressure maximum of the ring: the position where
-a new consumer can be attached with the least disturbance.  Because the
-pressure there is affine in the withdrawal total, the admissible withdrawal
-under an inlet-pressure floor has a closed-form inversion, which is cross-
-checked by bisection.  The safety classification of a pressure drop lives
-in :mod:`ringflow.core`, which needs no numpy, and is re-exported here.
+a new consumer can be attached with the least disturbance.  It is found by
+a grid scan of dP/dx and a bisection that reads the midpoints of four
+halvings in one field evaluation.  Because the pressure there is affine in
+the withdrawal total, the admissible withdrawal under an inlet-pressure
+floor has a closed-form inversion, which is cross-checked by bisection.
+The safety classification of a pressure drop lives in
+:mod:`ringflow.core`, which needs no numpy, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .series import DEFAULT_OPTIONS
 
 #: Bisection stops once the bracket is narrower than this, in metres.
 POSITION_TOLERANCE_M = 0.01
+
+#: Bisection halvings read from one field evaluation.
+_TREE_DEPTH = 4
 
 #: Step of the second central difference used for the concavity check,
 #: as a fraction of the ring length.
@@ -58,16 +63,28 @@ class AdmissibleWithdrawal:
 
 
 def _bisect_root(grad, lo: float, hi: float) -> float:
-    """Bisect a + to - crossing of ``grad`` (positions -> gradient row)."""
+    """Bisect a + to - crossing of ``grad`` (positions -> gradient row).
+
+    One ``grad`` call reads the 2**_TREE_DEPTH - 1 midpoints 0.5*(lo + hi)
+    of the next _TREE_DEPTH halvings, in order, and the walk down them
+    takes each bracket exactly as one point per call would: > 0 moves lo,
+    < 0 moves hi, and 0 or NaN returns the midpoint.
+    """
     while hi - lo > POSITION_TOLERANCE_M:
-        mid = 0.5 * (lo + hi)
-        value = grad(mid)[0]
-        if value > 0.0:
-            lo = mid
-        elif value < 0.0:
-            hi = mid
-        else:
-            return mid
+        edges = [lo, hi]
+        for _ in range(_TREE_DEPTH):
+            mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+            edges = [x for pair in zip(edges, mids) for x in pair] + [hi]
+        values = grad(edges[1:-1])
+        i, j = 0, len(edges) - 1
+        while j - i > 1 and hi - lo > POSITION_TOLERANCE_M:
+            k = (i + j) // 2
+            if values[k - 1] > 0.0:
+                i, lo = k, edges[k]
+            elif values[k - 1] < 0.0:
+                j, hi = k, edges[k]
+            else:
+                return edges[k]
     return 0.5 * (lo + hi)
 
 
@@ -84,8 +101,9 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     """Locate the pressure maximum by a sign-change scan of dP/dx.
 
     Scans x in [0, L] at ``grid_step``, both ring ends included, for a +
-    to - crossing, refines it by bisection to within 0.01 m and confirms
-    concavity with a second central difference.  Raises
+    to - crossing, refines it by bisection to within 0.01 m, one field
+    evaluation per four halvings, and confirms concavity with a second
+    central difference.  Raises
     :class:`NoExtremum` when the gradient never changes sign (for instance
     at t = 0) and :class:`MultipleExtrema`, with all refined candidates
     attached, when more than one crossing exists.  A grid of more than

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringflow.cli as cli
 import ringflow.scenario as scenario_module
@@ -482,3 +487,96 @@ class TestPlumbing:
                                 "--x", "100", "--time", "50")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValidationError"
+
+
+# ---------------------------------------------------------------------------
+# The error contract under fuzzed argv and scenario text.
+# ---------------------------------------------------------------------------
+
+#: Flag values outside the documented range, argparse-level garbage included.
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "x1", "", "1,,2")
+#: Scenario values: YAML spellings of the same, and a list and a mapping.
+FUZZ_YAML = (".nan", ".inf", "-.inf", "0", "-1", "1.0e+308", "abc", "nan",
+             "[1]", "{}", "")
+
+#: Flags per subcommand with in-range values; None marks a switch.  The
+#: lists stay small: no drawn value asks for work near a resource cap.
+FUZZ_FLAGS = {
+    "node": {"time": ("0.5", "100", "600"),
+             "grid-step": ("50", "100", "1000"),
+             "include-withdrawals": None},
+    "pressure": {"x": ("0", "12000", "30000"), "time": ("0", "50", "300")},
+    "gradient-table": {"times": ("100", "50,200"), "dx": ("1000", "3000")},
+    "drawdown": {"levels": ("11,12", "0"), "times": ("0,100", "300"),
+                 "positions": ("0,12000",), "at": ("12000", "29000")},
+    "max-draw": {"pmin": ("100000", "125000"), "horizon": ("300", "10"),
+                 "gmax": ("20", "0"), "at": ("12000",),
+                 "method": ("affine", "bisection")},
+    "classify": {"nominal": ("125000",), "current": ("110000", "90000")},
+    "validate": {},
+    "report": {"time": ("100", "5"), "pmin": ("100000",)},
+    "echo-config": {},
+}
+#: Flags that take comma-separated lists.
+FUZZ_LISTS = ("times", "levels", "positions")
+#: validate runs only on a grid this small: two steps of 64 cells.
+FUZZ_VALIDATE = ["--cells", "64", "--dt", "1", "--times", "2"]
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.I)
+_SCENARIO_VALUE = re.compile(r"^[ -]*\w+: (\S+)$", re.M)
+
+
+@st.composite
+def fuzzed_queries(draw):
+    """(argv without --scenario and --output, scenario text)."""
+    kind = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [kind] + (FUZZ_VALIDATE if kind == "validate" else [])
+    for name, good in FUZZ_FLAGS[kind].items():
+        if good is None:
+            argv += draw(st.sampled_from(([], [f"--{name}"])))
+        elif draw(st.integers(0, 5)) < 5:
+            # Mostly in range, so that most queries get past argparse.
+            values = st.sampled_from(good) if draw(st.integers(0, 5)) < 4 \
+                else st.sampled_from(FUZZ_VALUES)
+            most = 2 if name in FUZZ_LISTS else 1
+            argv.append(f"--{name}=" + ",".join(
+                draw(st.lists(values, min_size=1, max_size=most))))
+    if kind not in ("report", "echo-config") and draw(st.booleans()):
+        argv.append("--format=" + draw(st.sampled_from(("csv", "json",
+                                                        "xml"))))
+    text = SCENARIO_PATH.read_text(encoding="utf-8")
+    spots = list(_SCENARIO_VALUE.finditer(text))
+    chosen = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=3,
+                           unique_by=lambda m: m.start()))
+    for spot in sorted(chosen, key=lambda m: -m.start()):
+        scale = draw(st.sampled_from((0.5, 2.0)))
+        value = draw(st.sampled_from(FUZZ_YAML)) \
+            if draw(st.integers(0, 2)) == 2 \
+            else repr(float(spot.group(1)) * scale)
+        text = text[:spot.start(1)] + value + text[spot.end(1):]
+    return argv, text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fuzzed_queries(), st.booleans())
+def test_fuzzed_queries_keep_the_error_contract(tmp_path_factory, query,
+                                                to_file):
+    argv, text = query
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    (workdir / "scenario.yaml").write_text(text, encoding="utf-8")
+    output = workdir / "out.txt"
+    output.unlink(missing_ok=True)
+    argv = argv + ["--scenario", str(workdir / "scenario.yaml")] \
+        + (["--output", str(output)] if to_file else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        result = output.read_text(encoding="utf-8") if to_file \
+            else out.getvalue()
+        assert result and not _NON_FINITE.search(result)
+    else:
+        line, = err.getvalue().splitlines()
+        assert "error" in json.loads(line)

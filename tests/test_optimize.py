@@ -1,18 +1,23 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ringflow.optimize as optimize
 import ringflow.series as series
 from ringflow import (Band, InfeasibleConstraint, InvalidParameter,
                       MultipleExtrema, NegativeWithdrawalWarning, NoExtremum,
                       OutOfDomain, SafetyThresholds, SeriesOptions,
-                      WithdrawalModel, WithdrawalSchedule,
+                      WithdrawalModel, WithdrawalSchedule, build_report,
                       classify_pressure_drop,
                       find_coupling_point, invert_withdrawal,
                       max_admissible_withdrawal, pressure_at_coupling,
                       tap_pressure)
+from bisect_reference import bisect_root
+from test_properties import options, rings, schedules
 
 
 def no_kernel(*args, **kwargs):
@@ -116,6 +121,127 @@ class TestFindCouplingPoint:
         opts = SeriesOptions(truncation_n=20000, decay_mode=DecayMode.A)
         point = find_coupling_point(3e-7, WithdrawalSchedule(()), cfg, opts)
         assert 0.0 < point.position_m < cfg.length_m / 3000.0
+
+
+BISECT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+TOLERANCE = optimize.POSITION_TOLERANCE_M
+
+#: Brackets [lo, lo + width] of 0.01-1000 m on a ring of up to 10 km.
+brackets = st.tuples(st.floats(0.0, 1e4), st.floats(0.01, 1000.0)).map(
+    lambda b: (b[0], b[0] + b[1]))
+
+
+class Counted:
+    """A gradient over positions that counts its calls."""
+
+    def __init__(self, gradient):
+        self.gradient, self.calls = gradient, 0
+
+    def __call__(self, xs):
+        self.calls += 1
+        return self.gradient(np.atleast_1d(np.asarray(xs, dtype=float)))
+
+
+def assert_same_root(gradient, lo, hi):
+    """The tree walk gives the reference root, reading the field once per
+    _TREE_DEPTH of the reference's halvings."""
+    tree, scalar = Counted(gradient), Counted(gradient)
+    got = optimize._bisect_root(tree, lo, hi)
+    want = bisect_root(scalar, lo, hi)
+    assert got == want and type(got) is float
+    assert tree.calls == -(-scalar.calls // optimize._TREE_DEPTH)
+    return got
+
+
+class TestBisectRoot:
+    """optimize._bisect_root against the one-point-per-call reference."""
+
+    @BISECT_SETTINGS
+    @given(brackets, st.floats(-0.5, 1.5), st.floats(1e-6, 1e6))
+    def test_affine_gradient(self, bracket, fraction, slope):
+        lo, hi = bracket
+        root = lo + fraction * (hi - lo)
+        assert_same_root(lambda x: slope * (root - x), lo, hi)
+
+    @BISECT_SETTINGS
+    @given(brackets, st.lists(st.booleans(), max_size=20))
+    def test_root_on_a_tree_midpoint(self, bracket, path):
+        # Walk ``path`` (True: the right half) with the reference's
+        # arithmetic; the gradient is exactly 0 at the last midpoint.
+        lo, hi = bracket
+        root = None
+        for right in path + [None]:
+            if not hi - lo > TOLERANCE:
+                break
+            root = 0.5 * (lo + hi)
+            if right is not None:
+                lo, hi = (root, hi) if right else (lo, root)
+        assume(root is not None)
+        assert assert_same_root(lambda x: root - x, *bracket) == root
+
+    @BISECT_SETTINGS
+    @given(brackets, st.floats(-0.1, 1.1))
+    def test_nan_gradient(self, bracket, fraction):
+        # NaN beyond ``cut``, everywhere when it lies left of the bracket.
+        lo, hi = bracket
+        cut = lo + fraction * (hi - lo)
+        assert_same_root(
+            lambda x: np.where(x > cut, math.nan, 0.5 * (lo + hi) - x),
+            lo, hi)
+
+    @BISECT_SETTINGS
+    @given(st.floats(0.0, 1e4), st.floats(0.0, TOLERANCE))
+    def test_narrow_bracket_reads_nothing(self, lo, width):
+        hi = lo + width
+        assume(hi - lo <= TOLERANCE)
+        assert optimize._bisect_root(no_kernel, lo, hi) \
+            == bisect_root(no_kernel, lo, hi) == 0.5 * (lo + hi)
+
+    @BISECT_SETTINGS
+    @given(brackets, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_several_crossings(self, bracket, fractions):
+        lo, hi = bracket
+        roots = [lo + f * (hi - lo) for f in fractions]
+        assert_same_root(
+            lambda x: np.prod([r - x for r in roots], axis=0), lo, hi)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_coupling_point_equals_the_reference(self, data):
+        cfg = data.draw(rings())
+        args = (data.draw(st.floats(0.05, 600.0)),
+                data.draw(schedules(cfg)), cfg, data.draw(options()))
+        kwargs = dict(grid_step=data.draw(st.floats(10.0, 1000.0)),
+                      include_withdrawals=data.draw(st.booleans()))
+
+        def outcome():
+            try:
+                return find_coupling_point(*args, **kwargs)
+            except (NoExtremum, MultipleExtrema) as exc:
+                return type(exc), str(exc), getattr(exc, "candidates", None)
+
+        got = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize, "_bisect_root", bisect_root)
+            assert got == outcome()
+
+
+def test_kernel_calls_on_the_reference_scenario(scenario, monkeypatch):
+    # A 100 m scan step narrowed to 0.01 m takes 14 halvings: one scan,
+    # ceil(14 / 4) tree reads and one concavity stencil.
+    calls, kernel = [], series._mode_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_mode_sum", counted)
+    find_coupling_point(100.0, scenario.schedule, scenario.pipeline,
+                        scenario.series)
+    assert len(calls) <= 6
+    calls.clear()
+    build_report(scenario)
+    assert len(calls) <= 12
 
 
 class TestPressureAtCoupling:

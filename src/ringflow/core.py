@@ -63,6 +63,11 @@ class PipelineConfig:
         _require(self.base_flow >= 0.0, "base_flow must be >= 0")
         _require(self.nominal_pressure() > 0.0,
                  "nominal pressure P1 - a*G0*L must be > 0")
+        try:                            # c^2 or L^2 overflows, a*L^2 is 0
+            alpha = self.alpha()
+        except ArithmeticError:
+            alpha = math.nan
+        _require(alpha > 0.0, "alpha 2*pi^2*c^2/(a*L^2) must be a float > 0")
 
     def alpha(self) -> float:
         """Series decay-rate scale 2*pi^2*c^2 / (a*L^2), in 1/s."""

@@ -231,7 +231,9 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
     affine inversion at the binding time (``method="affine"``).  The
     ``"bisection"`` method solves the same sampled min-over-time constraint
     to 1e-6 flow units, or as far as floating point can split the bracket
-    (totals above about 1e9), and exists as a cross-check.
+    (totals above about 1e9), and exists as a cross-check.  It tests the
+    largest sampled drop alone, the tightest for g >= 0: rounded ``g * d``
+    never falls as d grows, nor ``nominal - y`` rises as y grows.
 
     D(t) is checked for monotone growth on :data:`TIME_SAMPLES` times up
     to the horizon; if that ever failed, the sampled maximum would be used
@@ -252,12 +254,11 @@ def max_admissible_withdrawal(horizon_s: float, p_min: float,
     if method == "affine":
         total = budget / drop_max
     elif method == "bisection":
-        def feasible(g: float) -> bool:
-            return bool(np.all(nominal - g * drops >= p_min - 1e-9))
+        worst, floor = float(drops.max()), p_min - 1e-9
         lo, hi = 0.0, 2.0 * budget / drop_max + 1.0
         while hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            if feasible(mid):
+            if nominal - mid * worst >= floor:
                 lo = mid
             else:
                 hi = mid

@@ -397,41 +397,31 @@ def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
 # emission
 # ---------------------------------------------------------------------------
 
-#: Cell types a table is formatted in one pass for: CSV takes ints and
-#: floats, JSON only floats (it writes int cells unrounded).
-_CSV_NUMBERS = frozenset((float, int))
-_JSON_NUMBERS = frozenset((float,))
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
             raise NonFiniteResult(f"result is not finite: {value}")
-        text = format(float(value), ".6g")
-        return "0" if text == "-0" else text
+        return "%.6g" % (value + 0.0)
     return str(value)
 
 
 def _json_value(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    if isinstance(value, int):
-        return value
-    rounded = float(format(value, ".6g"))
-    return 0.0 if rounded == 0.0 else rounded
+    if isinstance(value, float):
+        return float("%.6g" % (value + 0.0))
+    return value
 
 
-def _numbers(table: ProfileTable, kinds, row: str) -> str | None:
+def _numbers(table: ProfileTable, row: str) -> str | None:
     """The template ``row``, one ``%.6g`` per column, filled with every
-    row's cells in one ``%`` pass, -0.0 folded to 0.0 first.
+    row's cells ``+ 0.0`` (-0.0 folds to 0.0) in one ``%`` pass: the
+    number rule of :func:`_format_cell` and :func:`_json_value`.
 
-    Only for a table with cells, each exactly of a type in ``kinds`` and
-    all finite; for any other None, and the caller takes the per-cell rule
-    (:func:`_format_cell`, :func:`_json_value`), which raises on the first
-    NaN or infinity as the reference emitter does.  A row whose length
-    differs from the columns raises InvalidParameter.
+    Only for a table with cells, each exactly a float, all finite; for any
+    other None, and the caller takes the per-cell rule, which raises on the
+    first NaN or infinity as the reference emitter does.  A row whose
+    length differs from the columns raises InvalidParameter.
     """
     width = len(table.columns)
     if not set(map(len, table.rows)) <= {width}:
@@ -440,12 +430,9 @@ def _numbers(table: ProfileTable, kinds, row: str) -> str | None:
         raise InvalidParameter(f"row {index} has {len(table.rows[index])} "
                                f"cells for {width} columns")
     cells = tuple(chain.from_iterable(table.rows))
-    if not cells or not kinds.issuperset(map(type, cells)):
+    if not cells or not {float}.issuperset(map(type, cells)):
         return None
-    try:
-        text = (row * len(table.rows)) % tuple(map(add, cells, repeat(0.0)))
-    except OverflowError:                         # an int beyond the floats
-        return None
+    text = (row * len(table.rows)) % tuple(map(add, cells, repeat(0.0)))
     return None if "n" in text else text          # nan, inf
 
 
@@ -467,7 +454,7 @@ def _json_metadata(table: ProfileTable) -> dict:
 def table_payload(table: ProfileTable) -> dict:
     """JSON-ready form of a table, for reports."""
     width = len(table.columns)
-    text = _numbers(table, _JSON_NUMBERS, "%.6g " * width)
+    text = _numbers(table, "%.6g " * width)
     if text is None:
         rows = (map(_json_value, row) for row in table.rows)
     else:                                 # the floats, width at a time
@@ -497,8 +484,7 @@ def emit(table: ProfileTable, fmt: str = "csv") -> str:
         lines = [f"# {key}={_format_cell(value)}"
                  for key, value in sorted(table.metadata.items())]
         lines.append(",".join(table.columns))
-        body = _numbers(table, _CSV_NUMBERS,
-                        ",".join(("%.6g",) * len(table.columns)) + "\n")
+        body = _numbers(table, ",".join(("%.6g",) * len(table.columns)) + "\n")
         if body is None:
             lines.extend(",".join(map(_format_cell, row))
                          for row in table.rows)
@@ -507,7 +493,7 @@ def emit(table: ProfileTable, fmt: str = "csv") -> str:
         return "\n".join(lines) + "\n"
     if fmt == "json":
         width = len(table.columns)
-        text = _numbers(table, _JSON_NUMBERS, "%.6g " * width)
+        text = _numbers(table, "%.6g " * width)
         if text is None:
             return dump_json(table_payload(table))
         # The header's keys sort before "rows", so the rows follow it.

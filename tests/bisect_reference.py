@@ -1,13 +1,29 @@
-"""Reference coupling-point bisection.
+"""Reference bisections.
 
-This is the bisection as ringflow shipped it before the midpoint tree: one
-``grad`` call, and so one field evaluation, per halving.
-``ringflow.optimize._bisect_root`` must return the same float for every
-gradient and bracket, and ``find_coupling_point`` the same
-``CouplingPoint``; ``tests/test_optimize.py`` checks that.
+``bisect_root`` is the coupling-point bisection as ringflow shipped it
+before the midpoint tree: one ``grad`` call, and so one field evaluation,
+per halving.  ``ringflow.optimize._bisect_root`` must return the same
+float for every gradient and bracket, and ``find_coupling_point`` the same
+``CouplingPoint``.
+
+``max_admissible_withdrawal`` is the admissible-withdrawal search as
+ringflow shipped it before the bisection tested one float per halving: its
+``"bisection"`` loop tests every sampled drop with ``np.all``.
+``ringflow.optimize.max_admissible_withdrawal`` must return the same
+``AdmissibleWithdrawal``, or raise the same error.
+
+``tests/test_optimize.py`` checks both.
 """
 
-from ringflow.optimize import POSITION_TOLERANCE_M
+import math
+
+import numpy as np
+
+from ringflow.core import PipelineConfig, SeriesOptions
+from ringflow.errors import InvalidParameter
+from ringflow.optimize import (POSITION_TOLERANCE_M, TIME_SAMPLES,
+                               AdmissibleWithdrawal, _inlet_floor)
+from ringflow.series import DEFAULT_OPTIONS
 
 
 def bisect_root(grad, lo: float, hi: float) -> float:
@@ -22,3 +38,48 @@ def bisect_root(grad, lo: float, hi: float) -> float:
         else:
             return mid
     return 0.5 * (lo + hi)
+
+
+def max_admissible_withdrawal(horizon_s: float, p_min: float,
+                              g_max: float | None, x_new: float,
+                              cfg: PipelineConfig,
+                              opts: SeriesOptions = DEFAULT_OPTIONS,
+                              method: str = "affine") -> AdmissibleWithdrawal:
+    """Largest total withdrawal at ``x_new`` keeping P(0, t) >= p_min."""
+    if not 0.0 < horizon_s < math.inf:
+        raise InvalidParameter("horizon_s must be finite and > 0")
+    if g_max is not None and not g_max >= 0.0:     # NaN too
+        raise InvalidParameter("g_max must be >= 0 or None")
+    times = horizon_s * np.arange(1, TIME_SAMPLES + 1) / TIME_SAMPLES
+    budget, drops = _inlet_floor(p_min, x_new, times, cfg, opts)
+    nominal = cfg.nominal_pressure()
+    monotone = bool(np.all(np.diff(drops) >= -1e-9 * abs(drops[-1])))
+    bind = len(drops) - 1 if monotone else int(np.argmax(drops))
+    drop_max = float(drops[bind])
+
+    if method == "affine":
+        total = budget / drop_max
+    elif method == "bisection":
+        def feasible(g: float) -> bool:
+            return bool(np.all(nominal - g * drops >= p_min - 1e-9))
+        lo, hi = 0.0, 2.0 * budget / drop_max + 1.0
+        while hi - lo > 1e-6 and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        total = lo
+    else:
+        raise InvalidParameter(f"unknown method {method!r}")
+
+    cap_binding = g_max is not None and math.isfinite(g_max) and total > g_max
+    if cap_binding:
+        total = g_max
+    return AdmissibleWithdrawal(
+        total=total,
+        cap_binding=cap_binding,
+        binding_time_s=float(times[bind]),
+        inlet_pressure_pa=nominal - total * drop_max,
+        per_unit_drop_pa=drop_max,
+    )

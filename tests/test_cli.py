@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringflow.cli as cli
+import ringflow.errors as errors
 import ringflow.scenario as scenario_module
 import ringflow.series as series_module
 from ringflow import oracle
@@ -208,6 +210,15 @@ class TestValidate:
         assert payload["error"] == "ConvergenceFailure"
         assert "at step" in payload["message"]
 
+    def test_no_snapshot_time_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "validate", "--scenario", REF,
+                                "--times", ",")
+        assert code == 1 and out == ""
+        line, = err.splitlines()
+        assert json.loads(line) == {
+            "error": "UsageError",
+            "message": "--times: at least one snapshot time is required"}
+
     @pytest.mark.parametrize("dt", ["0.5", "1"])
     def test_too_many_steps_is_validation_error(self, capsys, dt):
         # Refused before any step count is rounded or array allocated.
@@ -330,6 +341,17 @@ class TestPlumbing:
         code, out, err = invoke(capsys, "node", "--time", "100")
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "UsageError"
+
+    def test_unreadable_scenario_is_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.yaml")
+        code, out, err = invoke(capsys, "node", "--scenario", missing,
+                                "--time", "100")
+        assert code == 1 and out == ""
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "UsageError"
+        assert payload["message"].startswith(
+            f"cannot read scenario {missing!r}: ")
 
     def test_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("RINGFLOW_SCENARIO", REF)
@@ -479,6 +501,25 @@ class TestPlumbing:
         assert payload["message"] == "pipeline.length_m: expected a " \
             "finite number"
 
+    @pytest.mark.parametrize("speed", ["1.0e+308", "1.0e-200"])
+    @pytest.mark.parametrize("argv", [
+        ("pressure", "--x", "12000", "--time", "0"),
+        ("max-draw", "--pmin", "100000", "--horizon", "300"),
+        ("echo-config",)], ids=lambda argv: argv[0])
+    def test_alpha_that_cannot_be_formed_is_validation_error(
+            self, capsys, tmp_path, speed, argv):
+        # 1e308 overflowed squaring the speed (exit 3, OverflowError), and
+        # 1e-200 gave alpha 0 (exit 3, ZeroDivisionError).
+        path = tmp_path / "speed.yaml"
+        path.write_text(SCENARIO_PATH.read_text().replace(
+            "sound_speed_m_s: 383.3", f"sound_speed_m_s: {speed}"))
+        code, out, err = invoke(capsys, *argv, "--scenario", str(path))
+        assert code == 2 and out == ""
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith("pipeline: alpha ")
+
     def test_non_finite_scenario_number(self, capsys, tmp_path):
         path = tmp_path / "inf-rate.yaml"
         path.write_text(SCENARIO_PATH.read_text().replace("rate: 11",
@@ -496,8 +537,8 @@ class TestPlumbing:
 #: Flag values outside the documented range, argparse-level garbage included.
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "x1", "", "1,,2")
 #: Scenario values: YAML spellings of the same, and a list and a mapping.
-FUZZ_YAML = (".nan", ".inf", "-.inf", "0", "-1", "1.0e+308", "abc", "nan",
-             "[1]", "{}", "")
+FUZZ_YAML = (".nan", ".inf", "-.inf", "0", "-1", "1.0e+308", "1.0e-200",
+             "abc", "nan", "[1]", "{}", "")
 
 #: Flags per subcommand with in-range values; None marks a switch.  The
 #: lists stay small: no drawn value asks for work near a resource cap.
@@ -521,6 +562,14 @@ FUZZ_FLAGS = {
 FUZZ_LISTS = ("times", "levels", "positions")
 #: validate runs only on a grid this small: two steps of 64 cells.
 FUZZ_VALIDATE = ["--cells", "64", "--dt", "1", "--times", "2"]
+#: Error names the CLI documents: the package's errors, the CLI's own, and
+#: the operating system's (an unreadable or unwritable path).
+DOCUMENTED_ERRORS = frozenset(
+    name for module in (errors, builtins)
+    for name, value in vars(module).items()
+    if isinstance(value, type)
+    and issubclass(value, (errors.RingflowError, OSError))) \
+    | {cli.UsageError.__name__, cli.ToleranceExceeded.__name__}
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.I)
 _SCENARIO_VALUE = re.compile(r"^[ -]*\w+: (\S+)$", re.M)
 
@@ -579,4 +628,4 @@ def test_fuzzed_queries_keep_the_error_contract(tmp_path_factory, query,
         assert result and not _NON_FINITE.search(result)
     else:
         line, = err.getvalue().splitlines()
-        assert "error" in json.loads(line)
+        assert json.loads(line)["error"] in DOCUMENTED_ERRORS

@@ -92,6 +92,18 @@ class TestPipelineConfig:
         with pytest.raises(InvalidParameter, match=f"{field} must be finite"):
             PipelineConfig(**values)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sound_speed_m_s", 1e308),      # c^2 overflows
+        ("length_m", 1e160),             # L^2 overflows
+        ("sound_speed_m_s", 1e-200),     # c^2, and so alpha, is 0
+        ("length_m", 1e-170),            # a*L^2 is 0
+    ])
+    def test_rejects_alpha_that_cannot_be_formed(self, cfg, field, value):
+        values = dict(vars(cfg), base_flow=0.0)
+        values[field] = value
+        with pytest.raises(InvalidParameter, match="alpha"):
+            PipelineConfig(**values)
+
     def test_rejects_nonpositive_nominal(self):
         # P1 - a*G0*L = 140000 - 150000 < 0
         with pytest.raises(InvalidParameter):

@@ -6,8 +6,9 @@ generated tables (0, 1 or many rows; float, int, bool, str and None cells;
 duplicate and non-ASCII column names; metadata of each type) ``emit`` in
 both formats and ``table_payload`` must give the same text and payload,
 and a NaN or an infinity anywhere must raise the same exception with the
-same message.  All-number tables of up to 60 rows, which take the one-pass
-path, are generated on their own, with and without non-finite cells.
+same message.  All-number tables of up to 60 rows are generated on their
+own, with and without non-finite cells: all-float ones take the one-pass
+path, and ones with an int cell the per-cell rule.
 """
 
 import math
@@ -175,8 +176,8 @@ def test_first_non_finite_value_is_named(fmt, value):
 
 
 def test_int_beyond_the_floats_after_a_nan_raises_as_the_reference_does():
-    # The reference meets the NaN first; an int too large for a float
-    # cannot be formatted in the one pass.
+    # The reference meets the NaN first; so does the per-cell rule, which
+    # a table with an int cell takes.
     table = ProfileTable(axis="time_scan", columns=("a", "b"),
                          rows=((1.0, 2), (math.nan, 10**400)), metadata={})
     assert outcome(emit, table, "csv") == outcome(reference.emit, table,

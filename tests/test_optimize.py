@@ -16,6 +16,7 @@ from ringflow import (Band, InfeasibleConstraint, InvalidParameter,
                       find_coupling_point, invert_withdrawal,
                       max_admissible_withdrawal, pressure_at_coupling,
                       tap_pressure)
+import bisect_reference as reference
 from bisect_reference import bisect_root
 from test_properties import options, rings, schedules
 
@@ -121,6 +122,18 @@ class TestFindCouplingPoint:
         opts = SeriesOptions(truncation_n=20000, decay_mode=DecayMode.A)
         point = find_coupling_point(3e-7, WithdrawalSchedule(()), cfg, opts)
         assert 0.0 < point.position_m < cfg.length_m / 3000.0
+
+    @pytest.mark.parametrize("curvature", [2.0, 0.0])
+    def test_convex_stencil_is_refused(self, cfg, schedule, monkeypatch,
+                                       curvature):
+        # The crossing's second difference must be negative: a flat or
+        # upward-curved stencil is no maximum.
+        monkeypatch.setattr(
+            series, "_pressure_field",
+            lambda *args: np.array([[125000.0, curvature, 0.0, 0.0]]))
+        with pytest.raises(NoExtremum, match=r"^stationary point at "
+                           r"1\d{4}\.\d\d m failed the concavity check$"):
+            find_coupling_point(100.0, schedule, cfg)
 
 
 BISECT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -393,6 +406,83 @@ class TestMaxAdmissibleWithdrawal:
                                         heaviside)
         assert got == max_admissible_withdrawal(300.0, 100000.0, None,
                                                 12000.0, cfg)
+
+
+def draw_outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:          # compared by class and message
+        return type(exc), str(exc)
+
+
+def assert_same_draw(*args, **kwargs):
+    """The bisection gives the reference's AdmissibleWithdrawal, every
+    float the same (repr tells -0.0 and NaN apart), or the same error."""
+    kwargs["method"] = "bisection"
+    got = draw_outcome(max_admissible_withdrawal, *args, **kwargs)
+    want = draw_outcome(reference.max_admissible_withdrawal, *args, **kwargs)
+    if isinstance(want, optimize.AdmissibleWithdrawal):
+        assert got.total == want.total and type(got.total) is float
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def drop_vectors(draw):
+    """TIME_SAMPLES per-unit drops: piecewise linear through 2-8 knots,
+    rising and falling, some negative; sorted; near-flat, wobbling inside
+    the monotone check's 1e-9 tolerance; or with one NaN."""
+    n = optimize.TIME_SAMPLES
+    knots = draw(st.lists(st.floats(-1e3, 1e6), min_size=2, max_size=8))
+    drops = np.interp(np.linspace(0.0, 1.0, n),
+                      np.linspace(0.0, 1.0, len(knots)), knots)
+    shape = draw(st.sampled_from(("knots", "sorted", "near-flat", "nan")))
+    if shape == "sorted":
+        drops = np.sort(drops)
+    elif shape == "near-flat":
+        wobble = draw(st.floats(1e-13, 1e-8)) * np.sin(
+            draw(st.floats(0.1, 3.0)) * np.arange(n))
+        drops = draw(st.floats(1e-3, 1e6)) * (1.0 + wobble)
+    elif shape == "nan":
+        drops[draw(st.integers(0, n - 1))] = math.nan
+    return drops
+
+
+caps = st.none() | st.floats(0.0, 1e3) | st.just(math.inf)
+
+
+class TestAdmissibleBisection:
+    """method="bisection" against the reference, which tests every drop."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_rings_equal_the_reference(self, data):
+        cfg = data.draw(rings())
+        # Floors from 0 to just above nominal (infeasible).
+        assert_same_draw(
+            data.draw(st.floats(0.5, 1000.0)),
+            cfg.nominal_pressure() * data.draw(st.floats(0.0, 1.01)),
+            data.draw(caps), cfg.length_m * data.draw(st.floats(0.01, 0.99)),
+            cfg, data.draw(options()))
+
+    @BISECT_SETTINGS
+    @given(drop_vectors(), st.floats(0.0, 1.0), caps)
+    def test_drop_vectors_equal_the_reference(self, cfg, drops, fraction,
+                                              cap):
+        # The drops go straight to both searches.  A NaN drop is always
+        # the binding one, so its bracket is NaN and neither loop runs.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_unit_drop", lambda *args: drops[:, None])
+            assert_same_draw(300.0, cfg.nominal_pressure() * fraction, cap,
+                             12000.0, cfg)
+
+    @BISECT_SETTINGS
+    @given(drop_vectors(), st.floats(0.0, 1e12), st.floats(-1e6, 1e6))
+    def test_largest_drop_decides_feasibility(self, drops, g, floor):
+        # The loop's one-float test against the reference's test of every
+        # drop, NaN drops included, at any g >= 0.
+        nominal = 125000.0
+        assert (nominal - g * float(drops.max()) >= floor) \
+            == bool(np.all(nominal - g * drops >= floor))
 
 
 class TestClassifyPressureDrop:

@@ -43,6 +43,11 @@ class TestOracleGrid:
         with pytest.raises(InvalidParameter):
             OracleGrid(cells=128, dt_s=1.0, horizon_s=0.5)
 
+    def test_cell_cap(self):
+        with pytest.raises(InvalidParameter,
+                           match=r"^cells must be <= 1000000$"):
+            OracleGrid(cells=10**6 + 1, dt_s=1.0, horizon_s=10.0)
+
     @pytest.mark.parametrize("dt,horizon", [(math.nan, 10.0), (math.inf, 10.0),
                                             (0.1, math.nan), (0.1, math.inf)])
     def test_rejects_non_finite(self, dt, horizon):

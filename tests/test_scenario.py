@@ -135,6 +135,25 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="pipeline"):
             load_scenario(broken)
 
+    def test_withdrawals_must_be_a_list(self):
+        with pytest.raises(ValidationError,
+                           match=r"^withdrawals: expected a list$"):
+            load_scenario(MINIMAL + "withdrawals: {}\n")
+
+    @pytest.mark.parametrize("speed", ["1.0e+308", "1.0e+160", "1.0e-200"])
+    def test_alpha_that_cannot_be_formed(self, speed):
+        # c^2 overflows, or underflows to an alpha of 0.
+        text = MINIMAL.replace("sound_speed_m_s: 383.3",
+                               f"sound_speed_m_s: {speed}")
+        with pytest.raises(ValidationError,
+                           match=r"^pipeline: alpha .* must be a float > 0$"):
+            load_scenario(text)
+
+    def test_infinite_alpha_loads(self):
+        text = MINIMAL.replace("linearization_a_per_s: 0.05",
+                               "linearization_a_per_s: 1.0e-320")
+        assert load_scenario(text).pipeline.alpha() == math.inf
+
     def test_tap_position_needs_single_withdrawal(self):
         scenario = load_scenario(MINIMAL)
         with pytest.raises(ValidationError):

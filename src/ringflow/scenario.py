@@ -34,6 +34,10 @@ Documents are read and written with libyaml's C codec (``CSafeLoader``,
 representer and resolver, so scalar typing and dumped text are the same;
 only the message texts of :class:`ParseError` depend on the codec.
 
+``load_scenario`` keeps the last 256 ``str`` texts it loaded, keyed with the
+codec: an equal text returns the same shared, immutable ``Scenario`` (and
+so its hash is computed once).  A text that fails is never kept.
+
 Loading, dumping, hashing and emission need no numpy.  The tables and the
 report import numpy and the numeric modules when called, so a process that
 only reads or writes scenarios never loads them.
@@ -61,6 +65,8 @@ from .errors import (InvalidParameter, MultipleExtrema, NonFiniteResult,
 #: The YAML codec, libyaml's where available (see the module docstring).
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+#: Scenario texts ``load_scenario`` keeps (see the module docstring).
+_SCENARIO_CACHE = 256
 
 #: Most position steps L/dx of a gradient table (the table has one more
 #: position, L itself).
@@ -211,11 +217,22 @@ class Scenario:
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document."""
+    """Parse and validate a scenario document.
+
+    Up to 256 ``str`` texts are kept, keyed with the codec: an equal text
+    returns the same shared, immutable ``Scenario``.  A failure is never
+    kept; bytes and streams are parsed on every call.
+    """
+    if isinstance(text, str):
+        return _load_cached(text, _LOADER)
+    return _load(text, _LOADER)
+
+
+def _load(text, loader) -> Scenario:
     # A tagged scalar its constructor rejects (a 13th month) raises a
     # ValueError, not a YAMLError.
     try:
-        document = yaml.load(text, Loader=_LOADER)
+        document = yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if document is None:
@@ -242,6 +259,9 @@ def load_scenario(text: str) -> Scenario:
         pipeline=pipeline, schedule=schedule,
         series=_section(document.get("series", {}), "series", "series"),
         safety=_section(document.get("safety", {}), "safety", "safety"))
+
+
+_load_cached = functools.lru_cache(maxsize=_SCENARIO_CACHE)(_load)
 
 
 def dump_scenario(scenario: Scenario) -> str:

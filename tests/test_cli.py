@@ -629,3 +629,47 @@ def test_fuzzed_queries_keep_the_error_contract(tmp_path_factory, query,
     else:
         line, = err.getvalue().splitlines()
         assert json.loads(line)["error"] in DOCUMENTED_ERRORS
+
+
+#: The reference scenario's numeric fields: five pipeline values, the
+#: tap's position and its rate.
+SCENARIO_FIELDS = ("length_m", "sound_speed_m_s", "linearization_a_per_s",
+                   "inlet_pressure_pa", "base_flow", "position_m", "rate")
+
+
+@pytest.mark.parametrize("value", FUZZ_YAML, ids=repr)
+@pytest.mark.parametrize("field", SCENARIO_FIELDS)
+def test_every_field_value_keeps_the_error_contract(tmp_path, field, value):
+    """Each fuzz value in each numeric field, through ``pressure`` twice:
+    the second run is served by the scenario cache if the first loaded."""
+    text = SCENARIO_PATH.read_text(encoding="utf-8")
+    spot, = (m for m in _SCENARIO_VALUE.finditer(text)
+             if re.match(rf"[ -]*{field}:", m.group()))
+    text = text[:spot.start(1)] + value + text[spot.end(1):]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text, encoding="utf-8")
+    try:
+        scenario_module._load(text, scenario_module._LOADER)
+        loads = True
+    except errors.RingflowError:
+        loads = False
+    runs = []
+    for _ in range(2):
+        hits = scenario_module._load_cached.cache_info().hits
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["pressure", "--scenario", str(path), "--x", "12000",
+                        "--time", "50"])
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert scenario_module._load_cached.cache_info().hits - hits == loads
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == "" and out and not _NON_FINITE.search(out)
+    else:
+        line, = err.splitlines()
+        assert json.loads(line)["error"] in DOCUMENTED_ERRORS
+        assert out == ""
+    if not loads:
+        assert code == 2

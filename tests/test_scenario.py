@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -276,6 +277,73 @@ def test_codecs_dump_and_load_alike(scenario):
             texts.add(text)
             loaded.add(load_scenario(text))
     assert len(texts) == 1 and loaded == {scenario}
+
+
+@pytest.fixture
+def empty_cache():
+    """The scenario cache, emptied before the test; yields its info."""
+    scenario_module._load_cached.cache_clear()
+    yield scenario_module._load_cached.cache_info
+
+
+class TestScenarioCache:
+    def test_equal_text_is_the_same_scenario(self, scenario_text,
+                                             empty_cache):
+        first = load_scenario(scenario_text)
+        copy_text = scenario_text[:-1] + scenario_text[-1]
+        assert copy_text is not scenario_text
+        assert load_scenario(copy_text) is first
+        info = empty_cache()
+        assert info.hits == 1 and info.misses == 1
+        # Shared by every caller, so nothing in it can be changed.
+        for part in (first, first.pipeline, first.schedule,
+                     first.schedule.points[0], first.series, first.safety):
+            name = dataclasses.fields(part)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, name, getattr(part, name))
+        assert isinstance(first.schedule.points, tuple)
+
+    @pytest.mark.parametrize("text, error", [
+        ("pipeline: [unclosed\n", ParseError),
+        ("withdrawals: []\n", ValidationError),
+        (MINIMAL.replace("30000", "-1"), ValidationError),
+    ])
+    def test_failures_are_not_kept(self, text, error, empty_cache):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(error) as caught:
+                load_scenario(text)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        info = empty_cache()
+        assert info.currsize == 0 and info.hits == 0 and info.misses == 3
+
+    def test_each_codec_parses_its_own(self, scenario_text, empty_cache):
+        default = load_scenario(scenario_text)
+        with scenario_codec("pure-python"):
+            pure = load_scenario(scenario_text)
+            assert load_scenario(scenario_text) is pure
+        assert pure == default and pure is not default
+        info = empty_cache()
+        assert info.misses == 2 and info.hits == 1 and info.currsize == 2
+
+    def test_bytes_load_uncached(self, scenario_text, empty_cache):
+        loaded = load_scenario(scenario_text.encode("utf-8"))
+        assert empty_cache().currsize == 0
+        assert loaded == load_scenario(scenario_text)
+        assert load_scenario(scenario_text.encode("utf-8")) is not loaded
+        assert empty_cache().currsize == 1
+
+    def test_bounded(self, scenario_text, empty_cache):
+        texts = [scenario_text + f"# {i}\n" for i in range(300)]
+        for text in texts:
+            load_scenario(text)
+        assert empty_cache().currsize == scenario_module._SCENARIO_CACHE \
+            == 256
+        load_scenario(texts[-1])            # the newest is kept
+        load_scenario(texts[0])             # the oldest was dropped
+        info = empty_cache()
+        assert info.hits == 1 and info.misses == 301
 
 
 class TestGradientTable:
@@ -573,13 +641,18 @@ class TestReport:
 
         monkeypatch.setattr(scenario_module, "hashlib",
                             types.SimpleNamespace(sha256=sha256))
-        scenario = load_scenario(scenario_text)
+        # A text no other test loads, so no cached Scenario holds its hash.
+        text = scenario_text + "# hashes-once\n"
+        scenario = load_scenario(text)
         report = build_report(scenario)
         assert len(digests) == 1
         assert report["scenario"]["hash"] == "70d5dc407302"
         assert {table["metadata"]["scenario"]
                 for table in report["tables"].values()} == {"70d5dc407302"}
         assert scenario.scenario_hash() == "70d5dc407302"
+        assert len(digests) == 1
+        # The same text again is the same Scenario: no further digest.
+        assert build_report(load_scenario(text)) == report
         assert len(digests) == 1
 
     def test_report_is_json_serializable_and_stable(self, scenario):

@@ -24,14 +24,23 @@ LAPACK ``gttrf``; each step is one ``gttrs`` substitution plus the
 correction, in place in preallocated buffers.  That is the arithmetic of a
 banded ``gtsv`` solve per step in the same order, so the results are the
 same bit for bit.  Every step's residual is checked against 1e-10 of the
-right-hand-side scale.  scipy is imported only when a solver is built.
+right-hand-side scale.  The two LAPACK routines come from scipy's compiled
+``scipy.linalg._flapack`` module, loaded once per process when the first
+solver is built, without the ``scipy.linalg`` package, whose set-up costs
+about 0.25 s and 20 MiB more.
 The forcing and the comparison mask place a tap by one rule, ``_tap_node``;
 the comparison takes every snapshot's reference from one point-mode call.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -113,6 +122,35 @@ class OracleRun:
     max_residual_rel: float
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@cache
+def _lapack_gttrf_gttrs():
+    """LAPACK ``dgttrf`` and ``dgttrs``: the very objects that
+    ``scipy.linalg.get_lapack_funcs`` returns for float64.
+
+    Only the top-level ``scipy`` package is imported; it sets up the
+    wheel's libraries and gives the package path, where the import
+    system's own extension finder locates ``_flapack``.  That module is
+    loaded without running ``scipy/linalg/__init__.py``; once
+    ``scipy.linalg`` is loaded, its module is reused.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                          ).find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(f"no compiled {_FLAPACK} module in {directory}")
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module.dgttrf, module.dgttrs
+
+
 class _CyclicSolver:
     """Solves (I - s*Lap) v = rhs on the periodic ring for fixed s.
 
@@ -123,8 +161,6 @@ class _CyclicSolver:
     """
 
     def __init__(self, n: int, s: float):
-        from scipy.linalg import get_lapack_funcs
-
         self.s = s
         diag = 1.0 + 2.0 * s
         off = -s
@@ -133,7 +169,7 @@ class _CyclicSolver:
         d[0] = diag - gamma
         d[-1] = diag - off * off / gamma
         band = np.full(n - 1, off)
-        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+        gttrf, self._gttrs = _lapack_gttrf_gttrs()
         # A zero pivot would make every state non-finite, which the
         # per-step residual check rejects.
         *self._lu, _ = gttrf(band, d, band)
@@ -199,7 +235,7 @@ def simulate(cfg: PipelineConfig, schedule: WithdrawalSchedule,
 
     snap_steps: set[int] = set()
     for t in snapshot_times:
-        if t < -1e-9 or t > grid.horizon_s + 1e-9:
+        if not -1e-9 <= t <= grid.horizon_s + 1e-9:    # NaN fails too
             raise InvalidParameter(
                 f"snapshot time {t:g} outside [0, {grid.horizon_s:g}]")
         snap_steps.add(min(max(int(round(t / dt)), 0), steps))

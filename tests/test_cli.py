@@ -450,6 +450,11 @@ class TestPlumbing:
         ("classify", "--nominal", "100", "--current=-inf"),
         ("max-draw", "--scenario", REF, "--pmin", "100000", "--horizon",
          "300", "--gmax", "nan"),
+        # The horizon is the largest snapshot time, whichever holds the NaN.
+        ("validate", "--scenario", REF, "--cells", "64", "--dt", "1",
+         "--times", "2,nan"),
+        ("validate", "--scenario", REF, "--cells", "64", "--dt", "1",
+         "--times", "nan,2"),
     ])
     def test_non_finite_number_is_invalid_parameter(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -1,21 +1,30 @@
 import copy
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from importlib.machinery import FileFinder
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import sympy
+from scipy.linalg import get_lapack_funcs
 
 import ringflow
 from oracle_reference import march
 from ringflow import (ConvergenceFailure, InvalidParameter, OracleGrid,
                       PipelineConfig, WithdrawalSchedule,
                       compare_with_series, oracle, simulate)
+from ringflow.cli import run
 from ringflow.oracle import EXCLUSION_RADIUS_CELLS, comparison_mask
+
+REF = str(Path(__file__).resolve().parent.parent / "scenarios"
+          / "reference.yaml")
 
 QUICK = OracleGrid(cells=750, dt_s=0.4, horizon_s=60.0)
 
@@ -79,6 +88,10 @@ class TestSimulate:
     def test_snapshot_time_outside_horizon(self, cfg, sink):
         with pytest.raises(InvalidParameter):
             simulate(cfg, sink, QUICK, [61.0])
+
+    def test_nan_snapshot_time(self, cfg, sink):
+        with pytest.raises(InvalidParameter, match="snapshot time nan"):
+            simulate(cfg, sink, QUICK, [math.nan])
 
     def test_solver_residuals_tiny(self, quick_run):
         assert quick_run.max_residual_rel <= 1e-10
@@ -217,17 +230,34 @@ class TestResidualCheck:
 
 def test_cli_import_leaves_scipy_unloaded():
     code = textwrap.dedent("""
+        import json
         import sys
         import ringflow.cli
-        assert "scipy" not in sys.modules, "import loaded scipy"
+        found = {"cli": sorted(m for m in sys.modules if m.startswith("scipy"))}
+        import numpy as np
         from ringflow import (OracleGrid, PipelineConfig, WithdrawalSchedule,
-                              simulate)
+                              oracle, simulate)
         cfg = PipelineConfig(length_m=30000.0, sound_speed_m_s=383.3,
                              linearization_a=0.05,
                              inlet_pressure_pa=140000.0, base_flow=10.0)
-        run = simulate(cfg, WithdrawalSchedule.from_pairs([(12000.0, 1.0)]),
-                       OracleGrid(cells=64, dt_s=1.0, horizon_s=3.0), [3.0])
-        print(run.times, "scipy" in sys.modules)
+        args = (cfg, WithdrawalSchedule.from_pairs([(12000.0, 1.0)]),
+                OracleGrid(cells=64, dt_s=1.0, horizon_s=3.0), [3.0])
+        first = simulate(*args)
+        found["simulate"] = sorted(
+            m for m in ("scipy.linalg._flapack", "scipy.linalg",
+                        "scipy._lib._array_api", "numpy.f2py",
+                        "numpy.testing") if m in sys.modules)
+        import scipy.linalg
+        routines = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"),
+                                                 (np.zeros(3),))
+        found["same_routines"] = all(
+            a is b for a, b in zip(routines, oracle._lapack_gttrf_gttrs()))
+        second = simulate(*args)
+        found["same_run"] = (
+            second.times == first.times
+            and np.array_equal(second.snapshots, first.snapshots)
+            and np.array_equal(second.mean_series, first.mean_series))
+        print(json.dumps(found))
     """)
     src = str(Path(ringflow.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -236,4 +266,55 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[3.0]", "True"]
+    assert json.loads(proc.stdout) == {
+        "cli": [], "simulate": ["scipy.linalg._flapack"],
+        "same_routines": True, "same_run": True}
+
+
+class _FindsNothing(FileFinder):
+    def find_spec(self, fullname, target=None):
+        return None
+
+
+class TestLapackLoader:
+    """The loader in a process where ``scipy.linalg`` is already loaded,
+    as ``oracle_reference`` has done here, and when the search fails."""
+
+    @pytest.fixture
+    def loader(self):
+        oracle._lapack_gttrf_gttrs.cache_clear()
+        yield oracle._lapack_gttrf_gttrs
+        oracle._lapack_gttrf_gttrs.cache_clear()
+
+    def test_reuses_the_loaded_module(self, loader, monkeypatch):
+        assert "scipy.linalg" in sys.modules
+        monkeypatch.setattr(oracle, "FileFinder", None)     # never searched
+        module = sys.modules["scipy.linalg._flapack"]
+        gttrf, gttrs = loader()
+        assert gttrf is module.dgttrf and gttrs is module.dgttrs
+        routines = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3),))
+        assert routines[0] is gttrf and routines[1] is gttrs
+        assert loader() == (gttrf, gttrs)
+
+    @pytest.fixture
+    def nothing_found(self, loader, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(oracle, "FileFinder", _FindsNothing)
+        return os.path.join(scipy.__path__[0], "linalg")
+
+    def test_nothing_found_names_the_directory(self, cfg, sink,
+                                                nothing_found):
+        grid = OracleGrid(cells=64, dt_s=1.0, horizon_s=3.0)
+        with pytest.raises(ImportError, match=re.escape(nothing_found)):
+            simulate(cfg, sink, grid, [3.0])
+
+    def test_validate_reports_it_as_one_json_line(self, capsys,
+                                                  nothing_found):
+        code = run(["validate", "--scenario", REF,
+                    "--cells", "64", "--dt", "1", "--times", "2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        line, = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ImportError"
+        assert nothing_found in payload["message"]

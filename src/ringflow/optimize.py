@@ -121,9 +121,11 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     # The base, pre-connection field by default; with include_withdrawals
     # the full gradient of the loaded field.
     sched = schedule if include_withdrawals else series.EMPTY_SCHEDULE
+    basis = series._basis(t, opts.decay_rate(cfg), opts)
 
     def grad(x) -> np.ndarray:
-        return series._gradient(x, t, sched, cfg, opts, GradientMode.FULL)[0]
+        return series._gradient(series._positions(x, cfg), basis, sched, cfg,
+                                opts, GradientMode.FULL)[0]
 
     xs = np.arange(grid_step, cfg.length_m, grid_step)
     xs = np.concatenate(([0.0], xs[xs < cfg.length_m], [cfg.length_m]))
@@ -144,8 +146,9 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     h = cfg.length_m * CURVATURE_STEP_FRACTION
     # Within h of a ring end the stencil moves inward to stay in [0, L].
     centre = min(max(root, h), cfg.length_m - h)
-    peak, left, middle, right = series._pressure_field(
-        (root, centre - h, centre, centre + h), t, sched, cfg, opts)[0]
+    stencil = series._positions((root, centre - h, centre, centre + h), cfg)
+    peak, left, middle, right = series._pressure_field(stencil, basis, sched,
+                                                       cfg, opts)[0]
     if right - 2.0 * middle + left >= 0.0:
         raise NoExtremum(
             f"stationary point at {root:.2f} m failed the concavity check")
@@ -160,8 +163,10 @@ def tap_pressure(total: float, t: float, x_new: float,
     The base pressure minus ``total`` times the point-mode per-unit drop
     there: the full series evaluated at its own tap.
     """
-    drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0, 0])
-    return series.base_pressure(x_new, t, cfg, opts) - total * drop
+    x, basis = series._grid(x_new, t, cfg, opts)
+    drop = float(series._unit_drop(x, basis, x_new, cfg, opts)[0, 0])
+    base = series._pressure_field(x, basis, series.EMPTY_SCHEDULE, cfg, opts)
+    return float(base[0, 0]) - total * drop
 
 
 def pressure_at_coupling(t: float, g_new: float, x_new: float,
@@ -189,13 +194,14 @@ def invert_withdrawal(p_target: float, t: float, x_new: float,
     _check_tap(x_new, cfg)
     if not 0.0 < t < math.inf:
         raise InvalidParameter("inversion requires a finite t > 0")
+    x, basis = series._grid(x_new, t, cfg, opts)
     if printed_form:
         drop = (cfg.sound_speed_m_s**2 / cfg.length_m
                 * (t + 2.0 * series.s_e(t, cfg, opts)))
     else:
-        drop = float(series._unit_drop(x_new, t, x_new, cfg, opts)[0, 0])
-    base = series.base_pressure(x_new, t, cfg, opts)
-    g_new = (base - p_target) / drop - cfg.base_flow
+        drop = float(series._unit_drop(x, basis, x_new, cfg, opts)[0, 0])
+    base = series._pressure_field(x, basis, series.EMPTY_SCHEDULE, cfg, opts)
+    g_new = (float(base[0, 0]) - p_target) / drop - cfg.base_flow
     if g_new < 0.0:
         warnings.warn(
             f"target pressure {p_target:g} Pa exceeds the zero-withdrawal "
@@ -215,7 +221,7 @@ def _inlet_floor(p_min: float, x_new: float, times, cfg: PipelineConfig,
         raise InfeasibleConstraint(
             f"pressure floor {p_min:g} Pa exceeds the nominal level "
             f"{nominal:g} Pa; even zero withdrawal violates it")
-    drops = series._unit_drop(0.0, times, x_new, cfg, opts)[:, 0]
+    drops = series._unit_drop(np.zeros(1), times, x_new, cfg, opts)[:, 0]
     return nominal - p_min, drops
 
 

@@ -357,10 +357,11 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
             raise InvalidParameter(f"withdrawal level {g:g} outside [0, inf)")
     import numpy as np
 
-    from .series import EMPTY_SCHEDULE, _pressure_field, _unit_drop
-    base = _pressure_field(x_list, t_list, EMPTY_SCHEDULE, cfg,
+    from .series import EMPTY_SCHEDULE, _grid, _pressure_field, _unit_drop
+    positions, basis = _grid(x_list, t_list, cfg, scenario.series)
+    base = _pressure_field(positions, basis, EMPTY_SCHEDULE, cfg,
                            scenario.series)
-    drop = _unit_drop(x_list, t_list, tap, cfg, scenario.series)
+    drop = _unit_drop(positions, basis, tap, cfg, scenario.series)
     levels = np.asarray(g_levels, dtype=float)[:, None]
     blocks = (base[:, None] - levels * drop[:, None]).tolist()
     rows = [(x, t, g, p) for t, block in zip(t_list, blocks)
@@ -390,17 +391,20 @@ def admissible_table(scenario: Scenario, t_list, p_min: float) -> ProfileTable:
     import numpy as np
 
     from .optimize import _inlet_floor
-    from .series import EMPTY_SCHEDULE, _pressure_field, _unit_drop
+    from .series import (EMPTY_SCHEDULE, _basis, _positions, _pressure_field,
+                         _unit_drop)
     opts = scenario.series
-    budget, drops = _inlet_floor(p_min, tap, t_list, cfg, opts)
+    basis = _basis(t_list, opts.decay_rate(cfg), opts)
+    budget, drops = _inlet_floor(p_min, tap, basis, cfg, opts)
     bad = np.flatnonzero(drops <= 0.0)
     if bad.size:
         raise InvalidParameter(
             f"per-unit inlet drop is not positive at t={t_list[bad[0]]:g}")
     totals = budget / drops
     # Base pressure at the tap minus the total times its drop, all rows.
-    p_tap = (_pressure_field(tap, t_list, EMPTY_SCHEDULE, cfg, opts)[:, 0]
-             - totals * _unit_drop(tap, t_list, tap, cfg, opts)[:, 0])
+    at_tap = _positions(tap, cfg)
+    p_tap = (_pressure_field(at_tap, basis, EMPTY_SCHEDULE, cfg, opts)[:, 0]
+             - totals * _unit_drop(at_tap, basis, tap, cfg, opts)[:, 0])
     rows = zip(t_list, p_tap.tolist(), totals.tolist())
     metadata = _base_metadata(scenario)
     metadata["tap_m"] = tap

@@ -16,11 +16,14 @@ diffusion modes of the equivalent heat equation actually decay.
 One kernel, ``_mode_sum``, evaluates sum_n trig(n*u) * E_n / n^p (sin for
 odd p, cos for even p) for a vector of times and a vector of angles u in
 [0, 2*pi] as a (times x angles) array whose rows at t = 0 are exactly zero.
-The field and its gradient are (times x positions) arrays built on it; they
-check their positions and times against [0, L] and [0, inf), so the public
-scalar functions only read one cell.  ``_add_taps`` is the one tap loop (of
-the response and the gradient), ``_point_response`` the one point-mode
-response (per-unit drops, the inlet floor, the oracle's references) and
+Its per-time half, the *basis* (``_basis``: the checked times, the mode
+numbers, exp(-n^2*rate*t) and the t = 0 rows), is built once per field
+evaluation, whose positions ``_grid`` checks once, and is shared only
+between evaluations at equal times and decay rate.  The field and its
+gradient are (times x positions) arrays, so the public scalar functions
+only read one cell.  ``_add_taps`` is the one tap loop (of the response and
+the gradient), ``_point_response`` the one point-mode response (per-unit
+drops, the inlet floor, the oracle's references) and
 ``_regularized_gradient`` the one gradient that is 0 at taps.  The plain
 route sums ``truncation_n`` terms.  The accelerated route (default) takes
 the time-independent part of each sum from its exact closed form,
@@ -34,7 +37,7 @@ only the first
 
     N_eff = min(truncation_n, ceil(sqrt(ln(1e20) / (rate * t_min))))
 
-of them, t_min being the smallest positive time of the call: every later
+of them, t_min being the smallest positive time of the basis: every later
 correction has n^2*rate*t > ln(1e20), so it is below exp(-46) = 1e-20, and
 their whole tail stays far below the rounding of the O(1) closed forms.
 With no positive time, or where rate * t_min underflows, N_eff is
@@ -49,7 +52,8 @@ point: P(0, t) and P(L, t) are computed from identical intermediates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,21 +85,14 @@ _CLOSED_FORMS = {
 }
 
 
-def _axis(values) -> np.ndarray:
-    return np.atleast_1d(np.asarray(values, dtype=float))
-
-
-def _grid(x, times, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and times as arrays, checked against [0, L] and [0, inf)."""
-    x, times = _axis(x), _axis(times)
+def _positions(x, cfg: PipelineConfig) -> np.ndarray:
+    """Positions as an array, checked against [0, L]."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     inside = (x >= 0.0) & (x <= cfg.length_m)
     if not inside.all():
         raise OutOfDomain(f"position {x[~inside][0]:g} "
                           f"outside [0, {cfg.length_m:g}]")
-    finite = (times >= 0.0) & (times < math.inf)
-    if not finite.all():
-        raise OutOfDomain(f"time {times[~finite][0]:g} outside [0, inf)")
-    return x, times
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -115,80 +112,101 @@ def _modes(times: np.ndarray, rate: float, opts: SeriesOptions) -> int:
     return opts.truncation_n
 
 
-def _mode_sum(theta, times, rate: float, opts: SeriesOptions,
-              power: int) -> np.ndarray:
+#: The per-time half of every mode sum at one set of checked times: mode
+#: numbers n, exp(-n^2*rate*t) (times x modes) and the rows at t = 0.
+_Basis = namedtuple("_Basis", "times n decay zero")
+
+
+def _basis(times, rate: float, opts: SeriesOptions) -> _Basis:
+    """Times checked against [0, inf) and their basis at decay ``rate``."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    finite = (times >= 0.0) & (times < math.inf)
+    if not finite.all():
+        raise OutOfDomain(f"time {times[~finite][0]:g} outside [0, inf)")
+    n = np.arange(1.0, _modes(times, rate, opts) + 1.0)
+    return _Basis(times, n, np.exp(-((rate * times)[:, None] * (n * n))),
+                  times == 0.0)
+
+
+def _grid(x, times, cfg: PipelineConfig, opts: SeriesOptions):
+    """Checked positions and the basis of ``times``; a caller sharing a basis
+    passes it with positions it checked, and both pass through as is."""
+    if isinstance(times, _Basis):
+        return x, times
+    return _positions(x, cfg), _basis(times, opts.decay_rate(cfg), opts)
+
+
+def _mode_sum(theta, basis: _Basis, opts: SeriesOptions, power: int):
     """sum_n trig(n*u) * (1 - exp(-n^2*rate*t)) / n^power, u in [0, 2*pi]."""
-    theta, times = _axis(theta), _axis(times)
-    modes = _modes(times, rate, opts)
-    blocks = -(-theta.size * modes // _TRIG_ELEMENTS)
+    n, decay = basis.n, basis.decay
+    blocks = -(-theta.size * n.size // _TRIG_ELEMENTS)
     if blocks > 1 and theta.size > 1:
-        return np.hstack([_mode_sum(u, times, rate, opts, power)
+        return np.hstack([_mode_sum(u, basis, opts, power)
                           for u in np.array_split(theta, blocks)])
-    n = np.arange(1.0, modes + 1.0)
-    decay = np.exp(-np.outer(rate * times, n * n))
-    trig = (np.sin if power % 2 else np.cos)(np.outer(n, theta))
+    trig = (np.sin if power % 2 else np.cos)(n[:, None] * theta)
     if opts.closed_form_acceleration:
         out = _CLOSED_FORMS[power](theta) - (decay / n**power) @ trig
     else:
         out = ((1.0 - decay) / n**power) @ trig
-    out[times == 0.0] = 0.0
+    out[basis.zero] = 0.0
     return out
 
 
 def _half_wave_sum(x, times, cfg: PipelineConfig,
                    opts: SeriesOptions) -> np.ndarray:
     """sum_n sin(pi*n*x/L) * (1 - exp(-n^2*rate*t)) / n^3 for x in [0, L]."""
-    x, times = _grid(x, times, cfg)
-    out = _mode_sum(_PI * (x / cfg.length_m), times, opts.decay_rate(cfg),
-                    opts, 3)
+    x, basis = _grid(x, times, cfg, opts)
+    out = _mode_sum(_PI * (x / cfg.length_m), basis, opts, 3)
     # The half-wave modes vanish identically at both ring ends; force the
     # exact zeros the truncated trigonometry only approximates.
     out[:, (x == 0.0) | (x == cfg.length_m)] = 0.0
     return out
 
 
-def _add_taps(out, x, times, schedule: WithdrawalSchedule,
-              cfg: PipelineConfig, opts: SeriesOptions, power: int, term):
+def _add_taps(out, x, basis: _Basis, schedule: WithdrawalSchedule,
+              cfg: PipelineConfig, opts: SeriesOptions, power: int, term,
+              model: WithdrawalModel | None = None):
     """Add term(mode sum from each tap, its rate) into ``out``, then zero
     the t = 0 rows, where an infinite rate times a zero sum gives NaN."""
     length = cfg.length_m
-    rate = opts.decay_rate(cfg)
+    model = model or opts.withdrawal_model
     with np.errstate(invalid="ignore"):
         for point in schedule.points:
             angle = 2.0 * _PI * (((x - point.position_m) % length) / length)
-            value = term(_mode_sum(angle, times, rate, opts, power),
-                         point.rate)
-            if opts.withdrawal_model is WithdrawalModel.HEAVISIDE:
+            value = term(_mode_sum(angle, basis, opts, power), point.rate)
+            if model is WithdrawalModel.HEAVISIDE:
                 value = np.where(x >= point.position_m, value, 0.0)
             out += value
-    out[times == 0.0] = 0.0
+    out[basis.zero] = 0.0
     return out
 
 
 def _response_kernel(x, times, schedule: WithdrawalSchedule,
-                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
-    x, times = _grid(x, times, cfg)
+                     cfg: PipelineConfig, opts: SeriesOptions,
+                     model: WithdrawalModel | None = None) -> np.ndarray:
+    x, basis = _grid(x, times, cfg, opts)
     c_sq = cfg.sound_speed_m_s**2
-    depletion = (c_sq * times / cfg.length_m)[:, None]
+    depletion = (c_sq * basis.times / cfg.length_m)[:, None]
     cosine_scale = 2.0 * c_sq / (cfg.length_m * cfg.alpha())
-    return _add_taps(np.zeros((times.size, x.size)), x, times, schedule, cfg,
-                     opts, 2, lambda series, rate:
-                     -(depletion + cosine_scale * series) * rate)
+    return _add_taps(np.zeros((basis.times.size, x.size)), x, basis,
+                     schedule, cfg, opts, 2, lambda series, rate:
+                     -(depletion + cosine_scale * series) * rate, model)
 
 
 def _pressure_field(x, times, schedule: WithdrawalSchedule,
                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
+    x, basis = _grid(x, times, cfg, opts)
     coeff = (2.0 * cfg.linearization_a * cfg.base_flow * cfg.length_m) / _PI
-    return (cfg.nominal_pressure() + coeff * _half_wave_sum(x, times, cfg, opts)
-            + _response_kernel(x, times, schedule, cfg, opts))
+    return (cfg.nominal_pressure() + coeff * _half_wave_sum(x, basis, cfg, opts)
+            + _response_kernel(x, basis, schedule, cfg, opts))
 
 
 def _point_response(x, times, schedule: WithdrawalSchedule,
                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
     """The withdrawal response in point mode, whatever the withdrawal model;
     the junction, the inlet floor and the oracle have no one-sided gating."""
-    point = replace(opts, withdrawal_model=WithdrawalModel.POINT)
-    return _response_kernel(x, times, schedule, cfg, point)
+    return _response_kernel(x, times, schedule, cfg, opts,
+                            WithdrawalModel.POINT)
 
 
 def _unit_drop(x, times, x_new: float, cfg: PipelineConfig,
@@ -202,23 +220,23 @@ def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
               opts: SeriesOptions,
               mode: GradientMode | None = None) -> np.ndarray:
     """dP/dx without the delta regularization at tap positions."""
-    x, times = _grid(x, times, cfg)
+    x, basis = _grid(x, times, cfg, opts)
     length = cfg.length_m
     grad = (2.0 * cfg.linearization_a * cfg.base_flow
-            * _mode_sum(_PI * (x / length), times, opts.decay_rate(cfg),
-                        opts, 2))
+            * _mode_sum(_PI * (x / length), basis, opts, 2))
     if (mode or opts.gradient_mode) is not GradientMode.FULL:
         schedule = EMPTY_SCHEDULE
     scale = 4.0 * _PI * cfg.sound_speed_m_s**2 / (length**2 * cfg.alpha())
-    return _add_taps(grad, x, times, schedule, cfg, opts, 1,
+    return _add_taps(grad, x, basis, schedule, cfg, opts, 1,
                      lambda series, rate: scale * rate * series)
 
 
 def _regularized_gradient(x, times, schedule: WithdrawalSchedule,
                           cfg: PipelineConfig, opts: SeriesOptions):
     """dP/dx with the columns at tap positions set to exactly 0."""
-    grad = _gradient(x, times, schedule, cfg, opts)
-    grad[:, np.isin(_axis(x), [p.position_m for p in schedule.points])] = 0.0
+    x, basis = _grid(x, times, cfg, opts)
+    grad = _gradient(x, basis, schedule, cfg, opts)
+    grad[:, np.isin(x, [p.position_m for p in schedule.points])] = 0.0
     return grad
 
 
@@ -292,8 +310,7 @@ def s_e(t: float, cfg: PipelineConfig,
 
     Saturates at pi/(6*alpha) as t grows.
     """
-    _, times = _grid(0.0, t, cfg)
-    value = _mode_sum(0.0, times, opts.decay_rate(cfg), opts, 2)[0, 0]
+    value = _mode_sum(*_grid(0.0, t, cfg, opts), opts, 2)[0, 0]
     return float(value) / (cfg.alpha() * _PI)
 
 
@@ -316,13 +333,12 @@ class ProfileSample:
 def sample(x: float, t: float, schedule: WithdrawalSchedule,
            cfg: PipelineConfig,
            opts: SeriesOptions = DEFAULT_OPTIONS) -> ProfileSample:
-    """Pressure and regularized gradient at one (x, t) point."""
-    return ProfileSample(
-        position_m=x,
-        time_s=t,
-        pressure_pa=pressure(x, t, schedule, cfg, opts),
-        gradient_pa_per_m=pressure_gradient(x, t, schedule, cfg, opts),
-    )
+    """Pressure and regularized gradient at one (x, t) point, from one
+    check and one basis."""
+    grid = _grid(x, t, cfg, opts)
+    p = _pressure_field(*grid, schedule, cfg, opts)[0, 0]
+    dp_dx = _regularized_gradient(*grid, schedule, cfg, opts)[0, 0]
+    return ProfileSample(x, t, float(p), float(dp_dx))
 
 
 def gradient_periodicity_gap(t: float, cfg: PipelineConfig,

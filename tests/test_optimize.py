@@ -11,8 +11,8 @@ import ringflow.series as series
 from ringflow import (Band, InfeasibleConstraint, InvalidParameter,
                       MultipleExtrema, NegativeWithdrawalWarning, NoExtremum,
                       OutOfDomain, SafetyThresholds, SeriesOptions,
-                      WithdrawalModel, WithdrawalSchedule, build_report,
-                      classify_pressure_drop,
+                      WithdrawalModel, WithdrawalSchedule, admissible_table,
+                      build_report, classify_pressure_drop, drawdown_table,
                       find_coupling_point, invert_withdrawal,
                       max_admissible_withdrawal, pressure_at_coupling,
                       tap_pressure)
@@ -255,6 +255,43 @@ def test_kernel_calls_on_the_reference_scenario(scenario, monkeypatch):
     calls.clear()
     build_report(scenario)
     assert len(calls) <= 12
+
+
+def test_one_basis_per_evaluation(scenario, monkeypatch):
+    # Each call checks its times and builds one mode basis, which all its
+    # mode sums share; the report's four evaluations build one each.
+    builds, sums = [], []
+    basis, kernel = series._basis, series._mode_sum
+
+    def counted_basis(*args):
+        builds.append(1)
+        return basis(*args)
+
+    def counted_kernel(*args):
+        sums.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_basis", counted_basis)
+    monkeypatch.setattr(series, "_mode_sum", counted_kernel)
+    cfg, opts = scenario.pipeline, scenario.series
+    tap = scenario.tap_position()
+    calls = [
+        (lambda: find_coupling_point(100.0, scenario.schedule, cfg, opts),
+         1, 6),
+        (lambda: series.sample(5000.0, 100.0, scenario.schedule, cfg, opts),
+         1, None),
+        (lambda: drawdown_table(scenario, (0.0, tap), (50.0, 300.0),
+                                (10.0, 11.0)), 1, None),
+        (lambda: admissible_table(scenario, (50.0, 300.0), 100000.0),
+         1, None),
+        (lambda: build_report(scenario), 4, 12),
+    ]
+    for call, want_builds, want_sums in calls:
+        builds.clear()
+        sums.clear()
+        call()
+        assert len(builds) == want_builds
+        assert want_sums is None or len(sums) == want_sums
 
 
 class TestPressureAtCoupling:

@@ -8,13 +8,15 @@ against the rule it implements: drawdown cells are one-tap point-mode
 pressures, admissible rows are tap pressures, the oracle comparison
 equals a per-snapshot recomputation, the regularized gradient is exactly
 0 at every tap, and both inlet-floor consumers reject the same inputs
-alike.  The inlet drop never falls in time in decay mode alpha, and does
-in mode a beyond alpha.  The accelerated route's adaptive truncation
-(N_eff) gives the full-truncation field.  In point mode the model's own
-invariants hold on random rings: ring closure P(0, t) == P(L, t) exactly,
-a field affine in the rates (its withdrawal response linear), and a
-one-tap response symmetric about its tap; the acceptance tests check them
-on the reference ring.
+alike.  The callers that share one mode basis between several fields
+(``sample`` and the drawdown and admissible tables) equal those fields
+evaluated one by one, bit for bit.  The inlet drop never falls in time in
+decay mode alpha, and does in mode a beyond alpha.  The accelerated
+route's adaptive truncation (N_eff) gives the full-truncation field.  In
+point mode the model's own invariants hold on random rings: ring closure
+P(0, t) == P(L, t) exactly, a field affine in the rates (its withdrawal
+response linear), and a one-tap response symmetric about its tap; the
+acceptance tests check them on the reference ring.
 """
 
 import math
@@ -35,7 +37,7 @@ from ringflow import (DecayMode, GradientMode, InvalidParameter,
                       gradient_table, invert_withdrawal,
                       max_admissible_withdrawal, pressure_at_coupling,
                       pressure_gradient, simulate, tap_pressure)
-from ringflow.optimize import TIME_SAMPLES
+from ringflow.optimize import TIME_SAMPLES, _inlet_floor
 from ringflow.oracle import comparison_mask
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -130,7 +132,8 @@ def test_t0_rows_are_exactly_zero(problem, power):
     ts = ts + [0.0]
     zero = np.array(ts) == 0.0
     theta = 2.0 * math.pi * xs / cfg.length_m
-    sums = series._mode_sum(theta, ts, opts.decay_rate(cfg), opts, power)
+    basis = series._basis(ts, opts.decay_rate(cfg), opts)
+    sums = series._mode_sum(theta, basis, opts, power)
     assert np.all(sums[zero] == 0.0)
     assert np.all(series._response_kernel(xs, ts, schedule, cfg, opts)[zero]
                   == 0.0)
@@ -145,13 +148,14 @@ def test_blocked_kernel_matches_one_matrix(monkeypatch, power):
     theta = np.linspace(0.0, 2.0 * math.pi, 301)
     times = [0.0, 0.5, 40.0]
     opts = SeriesOptions(truncation_n=70)
-    whole = series._mode_sum(theta, times, 0.06, opts, power)
+    basis = series._basis(times, 0.06, opts)
+    whole = series._mode_sum(theta, basis, opts, power)
     monkeypatch.setattr(series, "_TRIG_ELEMENTS", 1000)
-    blocked = series._mode_sum(theta, times, 0.06, opts, power)
+    blocked = series._mode_sum(theta, basis, opts, power)
     assert np.allclose(blocked, whole, rtol=0.0, atol=1e-13)
     # A single angle with more modes than one block holds is one block.
     monkeypatch.setattr(series, "_TRIG_ELEMENTS", 10)
-    assert series._mode_sum(theta[7], times, 0.06, opts, power)[:, 0] \
+    assert series._mode_sum(theta[7:8], basis, opts, power)[:, 0] \
         == pytest.approx(whole[:, 7], rel=0.0, abs=1e-13)
 
 
@@ -294,6 +298,44 @@ def test_admissible_rows_match_tap_pressure(cfg, opts, fraction, ts, floor):
         p_scale, _, _ = scales(cfg, one, ts)
         assert abs(p_tap - tap_pressure(g_total, t, tap, cfg, opts)) \
             <= 1e-12 * p_scale
+
+
+@SETTINGS
+@given(problems(max_positions=6),
+       st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3),
+       st.floats(0.05, 0.95))
+def test_shared_basis_equals_single_evaluations(problem, levels, floor):
+    cfg, schedule, opts, xs, ts = problem
+    for x in xs:
+        for t in ts:
+            got = series.sample(x, t, schedule, cfg, opts)
+            assert got.pressure_pa == series.pressure(x, t, schedule, cfg,
+                                                      opts)
+            assert got.gradient_pa_per_m == pressure_gradient(x, t, schedule,
+                                                              cfg, opts)
+    tap = schedule.points[0].position_m
+    base = series._pressure_field(xs, ts, series.EMPTY_SCHEDULE, cfg, opts)
+    drop = series._unit_drop(xs, ts, tap, cfg, opts)
+    table = drawdown_table(scenario_of(cfg, schedule, opts), xs.tolist(), ts,
+                           levels, tap_m=tap)
+    assert table.rows == tuple(
+        (x, t, g, base[i, j] - g * drop[i, j])
+        for i, t in enumerate(ts) for g in levels
+        for j, x in enumerate(xs.tolist()))
+    positive = [t for t in ts if t > 0.0]
+    if not positive or tap == 0.0:
+        return
+    one = scenario_of(cfg, WithdrawalSchedule.from_pairs([(tap, 1.0)]), opts)
+    p_min = floor * cfg.nominal_pressure()
+    budget, drops = _inlet_floor(p_min, tap, positive, cfg, opts)
+    if np.any(drops <= 0.0):
+        return
+    totals = budget / drops
+    p_tap = (series._pressure_field(tap, positive, series.EMPTY_SCHEDULE, cfg,
+                                    opts)[:, 0]
+             - totals * series._unit_drop(tap, positive, tap, cfg, opts)[:, 0])
+    assert admissible_table(one, positive, p_min).rows == tuple(
+        zip(positive, p_tap.tolist(), totals.tolist()))
 
 
 @SETTINGS

@@ -14,7 +14,9 @@ Errors print one JSON object per line on standard error.
 
 ``classify``, ``echo-config`` and every query refused before its scenario
 is valid run without numpy: a handler imports its numeric module only
-once its scenario has loaded.
+once its scenario has loaded.  A scenario file in the layout the README
+documents is read without PyYAML, with identical results; PyYAML loads
+only for another valid YAML text and for ``echo-config``.
 """
 
 from __future__ import annotations

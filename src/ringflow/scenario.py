@@ -28,11 +28,18 @@ with the offending dotted path.  Emitted tables are deterministic (6
 significant digits, '.' decimal separator, LF line endings) and embed the
 scenario hash plus the series options so results stay attributable.
 
-Documents are read and written with libyaml's C codec (``CSafeLoader``,
-``CSafeDumper``) where PyYAML was built with it, and with the pure-Python
-``SafeLoader``/``SafeDumper`` otherwise.  Both share PyYAML's constructor,
-representer and resolver, so scalar typing and dumped text are the same;
-only the message texts of :class:`ParseError` depend on the codec.
+A ``str`` text in the layout above is read directly, into the very
+document PyYAML would build: ``section:`` lines (or ``withdrawals: []``),
+entries indented two spaces, withdrawals as ``- {key: value, ...}`` or as
+block items indented zero or two spaces; ``[a-z_]`` keys; plain ints,
+floats with a point (any exponent signed), ``true``, ``false`` and other
+words; printable ASCII, LF line ends, blank lines and ``#`` comments.  Any
+other text goes through PyYAML, imported only then, as does
+``dump_scenario``: libyaml's C codec (``CSafeLoader``, ``CSafeDumper``)
+where PyYAML was built with it, the pure-Python ``SafeLoader``/``SafeDumper``
+otherwise.  Both share PyYAML's constructor, representer and resolver, so
+scalar typing and dumped text are the same; only the message texts of
+:class:`ParseError` depend on the codec.
 
 ``load_scenario`` keeps the last 256 ``str`` texts it loaded, keyed with the
 codec: an equal text returns the same shared, immutable ``Scenario`` (and
@@ -47,24 +54,19 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
 from operator import add
-
-import yaml
 
 from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
 from .errors import (InvalidParameter, MultipleExtrema, NonFiniteResult,
                      ParseError, ValidationError)
 
-#: The YAML codec, libyaml's where available (see the module docstring).
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 #: Scenario texts ``load_scenario`` keeps (see the module docstring).
 _SCENARIO_CACHE = 256
 
@@ -110,6 +112,79 @@ _SECTIONS = {
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def _codec():
+    """PyYAML's loader and dumper, libyaml's where available; PyYAML is
+    imported on the first call."""
+    import yaml
+    return (getattr(yaml, "CSafeLoader", yaml.SafeLoader),
+            getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+
+
+#: ``key: value``, the value typed by the group it sets as PyYAML's
+#: resolver types it: an int, a float or a word.
+_PAIR = re.compile(r"([a-z_]+): +(?:(-?(?:0|[1-9][0-9]*))"
+                   r"|(-?[0-9]+\.[0-9]*(?:e[-+][0-9]+)?)|([a-z_]+))")
+#: A line of the layout: indentation, item dash, and a pair or a flow
+#: mapping; or a section header, `` []`` for an empty list; then perhaps a
+#: comment.  Blank and comment lines set no group, other lines the last.
+_LINE = re.compile(
+    rf"^(?:( *)(- )?(?:{_PAIR.pattern}|\{{(.+)\}})|([a-z_]+):( \[\])?)"
+    r"(?: +#[ -~]*| *)$|^ *(?:#[ -~]*)?$|^(.+)$", re.MULTILINE)
+_BOOLEANS = {"true": True, "false": False}
+#: Words the resolver reads as a boolean or as null.
+_RESERVED = frozenset({"true", "false", "yes", "no", "on", "off", "null"})
+
+
+def _pair(key: str, integer: str, number: str, word: str) -> tuple:
+    """One matched pair, typed; a ValueError for a reserved word."""
+    if key in _RESERVED or word in _RESERVED and word not in _BOOLEANS:
+        raise ValueError(key)
+    return key, (int(integer) if integer else float(number) if number
+                 else _BOOLEANS.get(word, word))
+
+
+def _read_layout(text: str) -> dict | None:
+    """The document ``yaml.load`` builds from ``text`` in the layout the
+    module docstring names; None for any other text."""
+    document, section, fill, items, indent = {}, None, {}, None, None
+    try:
+        for (spaces, dash, key, integer, number, word, flow, header, empty,
+             other) in _LINE.findall(text):
+            if header and header not in _RESERVED:
+                section, fill, items = header, {}, None
+                document[section] = [] if empty else None
+                continue
+            if other or header:             # off the layout, or a keyword
+                return None
+            if flow:
+                matches = list(map(_PAIR.fullmatch, flow.split(", ")))
+                if not all(matches):
+                    return None
+                pairs = dict(_pair(*match.groups()) for match in matches)
+            elif key:
+                pairs = dict([_pair(key, integer, number, word)])
+            else:
+                continue                    # a blank or comment line
+            depth = len(spaces)
+            if document.get(section, ()) is None:   # the section's first entry
+                if dash and depth in (0, 2):
+                    document[section] = items = []
+                    indent = depth
+                elif depth == 2:
+                    document[section] = fill[2] = {}
+            if dash and items is not None and depth == indent:
+                items.append(pairs)
+                fill = {} if flow else {depth + 2: pairs}
+            elif not dash and not flow and depth in fill:
+                fill[depth].update(pairs)
+            else:
+                return None
+    except ValueError:          # a reserved word, or too many digits for int()
+        return None
+    return document if document and None not in document.values() else None
+
 
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
@@ -211,6 +286,7 @@ class Scenario:
     @functools.cached_property
     def _digest(self) -> str:
         # Once per instance: every table and the report embed the hash.
+        import hashlib
         canonical = json.dumps(self.normalized(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
@@ -224,17 +300,20 @@ def load_scenario(text: str) -> Scenario:
     kept; bytes and streams are parsed on every call.
     """
     if isinstance(text, str):
-        return _load_cached(text, _LOADER)
-    return _load(text, _LOADER)
+        return _load_cached(text, _codec)
+    return _load(text, _codec)
 
 
-def _load(text, loader) -> Scenario:
-    # A tagged scalar its constructor rejects (a 13th month) raises a
-    # ValueError, not a YAMLError.
-    try:
-        document = yaml.load(text, Loader=loader)
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ParseError(f"malformed scenario document: {exc}") from exc
+def _load(text, codec) -> Scenario:
+    document = _read_layout(text) if isinstance(text, str) else None
+    if document is None:
+        import yaml
+        # A tagged scalar its constructor rejects (a 13th month) raises a
+        # ValueError, not a YAMLError.
+        try:
+            document = yaml.load(text, Loader=codec()[0])
+        except (yaml.YAMLError, ValueError) as exc:
+            raise ParseError(f"malformed scenario document: {exc}") from exc
     if document is None:
         raise ValidationError("top level: document is empty")
     document = _require_mapping(document, "top level")
@@ -266,8 +345,9 @@ _load_cached = functools.lru_cache(maxsize=_SCENARIO_CACHE)(_load)
 
 def dump_scenario(scenario: Scenario) -> str:
     """Normalized YAML form; load_scenario round-trips it."""
-    return yaml.dump(scenario.normalized(), Dumper=_DUMPER, sort_keys=False,
-                     default_flow_style=False)
+    import yaml
+    return yaml.dump(scenario.normalized(), Dumper=_codec()[1],
+                     sort_keys=False, default_flow_style=False)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,8 @@ def _response_kernel(x, times, schedule: WithdrawalSchedule,
                      cfg: PipelineConfig, opts: SeriesOptions,
                      model: WithdrawalModel | None = None) -> np.ndarray:
     x, basis = _grid(x, times, cfg, opts)
+    if not schedule.points:             # no taps: no loop, no t = 0 mask
+        return np.zeros((basis.times.size, x.size))
     c_sq = cfg.sound_speed_m_s**2
     depletion = (c_sq * basis.times / cfg.length_m)[:, None]
     cosine_scale = 2.0 * c_sq / (cfg.length_m * cfg.alpha())
@@ -236,7 +238,11 @@ def _regularized_gradient(x, times, schedule: WithdrawalSchedule,
     """dP/dx with the columns at tap positions set to exactly 0."""
     x, basis = _grid(x, times, cfg, opts)
     grad = _gradient(x, basis, schedule, cfg, opts)
-    grad[:, np.isin(x, [p.position_m for p in schedule.points])] = 0.0
+    if schedule.points:
+        at_tap = x == schedule.points[0].position_m
+        for point in schedule.points[1:]:
+            at_tap |= x == point.position_m
+        grad[:, at_tap] = 0.0
     return grad
 
 

@@ -654,7 +654,7 @@ def test_every_field_value_keeps_the_error_contract(tmp_path, field, value):
     path = tmp_path / "scenario.yaml"
     path.write_text(text, encoding="utf-8")
     try:
-        scenario_module._load(text, scenario_module._LOADER)
+        scenario_module._load(text, scenario_module._codec)
         loads = True
     except errors.RingflowError:
         loads = False

@@ -24,7 +24,7 @@ PRESSURE_TEXT = ("# scenario=70d5dc407302\n"
 
 #: Runs each argv of the JSON list in argv[1] through ``cli.run`` in one
 #: process and prints, per query, the exit code, whether numpy is loaded,
-#: stdout and stderr.
+#: stdout, stderr and whether PyYAML is loaded.
 _FRONT_DOOR = textwrap.dedent("""
     import contextlib, io, json, sys
     from ringflow.cli import run
@@ -34,7 +34,7 @@ _FRONT_DOOR = textwrap.dedent("""
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
         results.append([code, "numpy" in sys.modules, out.getvalue(),
-                        err.getvalue()])
+                        err.getvalue(), "yaml" in sys.modules])
     print(json.dumps(results))
 """)
 
@@ -77,12 +77,32 @@ def test_front_door_leaves_numpy_unloaded(tmp_path):
     pressure = ["pressure", "--scenario", REF, "--x", "100", "--time", "50"]
     results = _run_in_fresh_process([argv for argv, _ in numpy_free]
                                     + [pressure])
-    for (argv, code), (got, numpy_loaded, out, err) in zip(numpy_free,
-                                                            results):
+    for (argv, code), (got, numpy_loaded, out, err, _) in zip(numpy_free,
+                                                               results):
         assert (got, numpy_loaded) == (code, False), (argv, err)
         assert (out == "") == (code != 0) and (err == "") == (code == 0)
-    code, numpy_loaded, out, err = results[-1]
+    code, numpy_loaded, out, err, _ = results[-1]
     assert (code, numpy_loaded, out, err) == (0, True, PRESSURE_TEXT, "")
+
+
+def test_scenario_layout_leaves_yaml_unloaded(tmp_path):
+    """Queries on a scenario of the documented layout, and those without a
+    scenario, never import PyYAML; dumping and other YAML still do."""
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("pipeline: [unclosed\n", encoding="utf-8")
+    yaml_free = [
+        ["classify", "--nominal", "125000", "--current", "100000"],
+        ["pressure", "--scenario", REF, "--x", "100", "--time", "50"],
+        ["node", "--scenario", REF, "--time", "100"],
+    ]
+    results = _run_in_fresh_process(
+        yaml_free + [["node", "--scenario", str(malformed), "--time", "100"]])
+    assert [(code, yaml_loaded) for code, _, _, _, yaml_loaded in results] \
+        == [(0, False)] * 3 + [(1, True)]
+    assert results[1][2] == PRESSURE_TEXT
+    (code, _, out, _, yaml_loaded), = _run_in_fresh_process(
+        [["echo-config", "--scenario", REF]])
+    assert (code, yaml_loaded) == (0, True) and out.startswith("pipeline:\n")
 
 
 def test_names_are_their_home_objects():

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import re
-import types
 from pathlib import Path
 
 import pytest
@@ -346,6 +345,165 @@ class TestScenarioCache:
         assert info.hits == 1 and info.misses == 301
 
 
+#: The scenario examples of the README and of the module docstring.
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8")
+LAYOUT_EXAMPLES = {
+    "readme": _README.split("```yaml\n", 1)[1].split("```", 1)[0],
+    "docstring": "".join(
+        line[4:] + "\n" for line in scenario_module.__doc__.split(
+            "::\n\n", 1)[1].split("\n\n", 1)[0].splitlines()),
+}
+
+#: Texts PyYAML reads otherwise, or that lie outside the layout; the reader
+#: leaves each to PyYAML.
+OFF_LAYOUT = {
+    "yes-value": MINIMAL + "series:\n  closed_form_acceleration: yes\n",
+    "off-value": MINIMAL + "series:\n  closed_form_acceleration: off\n",
+    "null-value": MINIMAL.replace("base_flow: 10", "base_flow: null"),
+    "on-key": MINIMAL + "series:\n  on: 1\n",
+    "no-section": MINIMAL + "no:\n  rate: 1\n",
+    "true-key": MINIMAL + "withdrawals:\n- {true: 1, rate: 2}\n",
+    "quoted": MINIMAL.replace("length_m", "'length_m'"),
+    "double-quoted": MINIMAL.replace("30000", '"30000"'),
+    "anchor": MINIMAL.replace("10\n", "&ten 10\n"),
+    "tag": MINIMAL.replace("10\n", "!!float 10\n"),
+    "document-start": "---\n" + MINIMAL,
+    "document-end": MINIMAL + "...\n",
+    "plus-sign": MINIMAL.replace("30000", "+30000"),
+    "octal": MINIMAL.replace("30000", "030000"),
+    "underscore": MINIMAL.replace("30000", "30_000"),
+    "inf": MINIMAL.replace("10\n", ".inf\n"),
+    "upper-case": MINIMAL.replace("10\n", "1.0E+1\n"),
+    "true-title": MINIMAL + "series:\n  closed_form_acceleration: True\n",
+    "unsigned-exponent": MINIMAL.replace("30000", "3.0e4"),
+    "no-point": MINIMAL.replace("30000", "3e+4"),
+    "empty": "",
+    "comment-only": "# nothing\n\n",
+    "empty-section": MINIMAL + "series:\n",
+    "empty-flow": MINIMAL + "withdrawals:\n- {}\n",
+    "long-digits": MINIMAL.replace("30000", "3" * 5000),
+    "crlf": MINIMAL.replace("\n", "\r\n"),
+    "tab": MINIMAL.replace("  base_flow", "\tbase_flow"),
+    "tab-comment": MINIMAL + "# a\tb\n",
+    "line-break-in-comment": MINIMAL.replace("10\n", "10 # a\x85safety: 1\n"),
+    "control-in-comment": MINIMAL.replace("10\n", "10 # a\x07\n"),
+    "non-ascii-comment": MINIMAL + "# 30 km – reference\n",
+    "three-spaces": MINIMAL.replace("  base_flow", "   base_flow"),
+    "top-level-scalar": "pipeline: 3\n",
+    "flow-section": MINIMAL + "series: {truncation: 10}\n",
+    "mixed-items": MINIMAL + "withdrawals:\n  - {rate: 1}\n- {rate: 2}\n",
+    "flow-then-block": MINIMAL + "withdrawals:\n- {rate: 1}\n  position_m: 2\n",
+    "hash-in-value": MINIMAL.replace("10\n", "10#x\n"),
+}
+
+#: Keys and scalars of the layout; keys and scalars PyYAML reads otherwise
+#: or that lie outside the layout; what may end a line; and fragments the
+#: property below writes over a text.
+_KEYS = ["pipeline", "withdrawals", "series", "rate", "a", "_"]
+_TOKENS = ["0", "-0", "7", "-12", "1.5", "1.", "-0.0", "0.10", "1.5e+3",
+           "1.5e-3", "true", "false", "alpha", "a", "_", "base_only"]
+_ODD_KEYS = ["yes", "on", "null", "true", "Key", "'a'"]
+_ODD_TOKENS = ["012", "+5", "1_0", "1.5e3", "1e+5", "1.5E+3", ".inf", "0x1f",
+               "1:30", "True", "yes", "off", "null", "~", "'a'", "9" * 5000]
+_ENDS = ["", "", " # c", "  # a: [b]", "  "]
+_ODD_ENDS = [" # \t", "#c", " # \x85x: 1", " # \x07"]
+_NOISE = ["\r\n", "\n", "\t", " ", "  ", "# c", "#", ":", "- ", "{", "}",
+          ", ", "---\n", "\x85", "\xa0", "\u2028", "\ufeff", "\xe9"]
+#: Section shapes: entries of one pair, flow items or block items, each at
+#: an indentation.
+_SHAPES = [("map", "  "), ("map", "  "), ("map", "    "), ("flow", "  "),
+           ("flow", ""), ("block", "  "), ("block", "")]
+
+
+@st.composite
+def layout_texts(draw):
+    """A text in the layout, or near it: sections of entries, or of flow
+    or block items, of layout keys and scalars; up to two keys, scalars or
+    line ends of those that PyYAML reads otherwise or that lie outside the
+    layout; a blank, comment, empty-list or empty-section line; then up to
+    two fragments of ``_NOISE`` written over it."""
+    pair = st.tuples(st.sampled_from(_KEYS), st.one_of(
+        st.sampled_from(_TOKENS), st.integers().map(str),
+        st.floats(allow_nan=False).map(repr)), st.sampled_from(_ENDS))
+    sections = [(section, draw(st.sampled_from(_SHAPES)),
+                 draw(st.lists(st.lists(pair.map(list), min_size=1,
+                                        max_size=3), min_size=1, max_size=3)))
+                for section in draw(st.lists(st.sampled_from(_KEYS),
+                                             min_size=1, max_size=3))]
+    pairs = [pair for _, _, entries in sections for entry in entries
+             for pair in entry]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        field = draw(st.integers(0, 2))
+        pairs[draw(st.integers(0, len(pairs) - 1))][field] = draw(
+            st.sampled_from((_ODD_KEYS, _ODD_TOKENS, _ODD_ENDS)[field]))
+    texts = []
+    for section, (kind, indent), entries in sections:
+        lines = [section + ":"]
+        for entry in entries:
+            first = "%s: %s%s" % tuple(entry[0])
+            rest = [indent + "  %s: %s%s" % tuple(pair) for pair in entry[1:]]
+            if kind == "map":
+                lines.append(indent + first)
+            elif kind == "flow":
+                flow = ", ".join("%s: %s" % tuple(pair[:2]) for pair in entry)
+                lines.append(indent + "- {" + flow + "}")
+            else:
+                lines.append(draw(st.sampled_from([indent] * 9 + ["", "  "]))
+                             + "- " + first)
+                lines.extend(rest)
+        texts.append("\n".join(lines))
+    texts.insert(draw(st.integers(0, len(texts))), draw(
+        st.sampled_from(["", "  # note: [x]", "withdrawals: []", "safety:"])))
+    text = "\n".join(texts) + "\n"
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        text = (text[:at] + draw(st.sampled_from(_NOISE))
+                + text[at + draw(st.integers(0, 2)):])
+    return text
+
+
+class TestLayoutReader:
+    @pytest.mark.parametrize("name", ["reference", "readme", "docstring",
+                                      "dump"])
+    def test_documented_layouts_are_read_directly(self, name, scenario,
+                                                   scenario_text):
+        text = {"reference": scenario_text,
+                "dump": dump_scenario(scenario)}.get(name)
+        text = text or LAYOUT_EXAMPLES[name]
+        document = scenario_module._read_layout(text)
+        assert document is not None
+        for loader, _ in CODECS.values():
+            assert repr(document) == repr(yaml.load(text, Loader=loader))
+
+    @pytest.mark.parametrize("name", OFF_LAYOUT)
+    def test_other_texts_are_left_to_pyyaml(self, name):
+        assert scenario_module._read_layout(OFF_LAYOUT[name]) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(layout_texts())
+    def test_reader_agrees_with_pyyaml(self, text):
+        """Each text is either left to PyYAML or read into the very
+        document, value and type alike, that both codecs build."""
+        document = scenario_module._read_layout(text)
+        if document is not None:
+            for loader, _ in CODECS.values():
+                assert repr(document) == repr(yaml.load(text, Loader=loader))
+
+    def test_texts_off_the_layout_go_through_the_codec(self, scenario_text,
+                                                       codec, monkeypatch):
+        read = []
+        accessor = scenario_module._codec
+        monkeypatch.setattr(scenario_module, "_codec",
+                            lambda: read.append(accessor()) or read[-1])
+        assert load_scenario(scenario_text + "# direct\n") \
+            == load_scenario(scenario_text)
+        assert read == []
+        quoted = scenario_text.replace("rate:", "'rate':") + "# quoted\n"
+        assert load_scenario(quoted) == load_scenario(scenario_text)
+        assert read == [CODECS[codec]]
+
+
 class TestGradientTable:
     def test_reference_layout(self, scenario):
         table = gradient_table(scenario, [100.0, 200.0], 1000.0)
@@ -634,13 +792,13 @@ class TestReport:
 
     def test_report_hashes_once(self, scenario_text, monkeypatch):
         digests = []
+        real_sha256 = hashlib.sha256
 
         def sha256(data):
             digests.append(data)
-            return hashlib.sha256(data)
+            return real_sha256(data)
 
-        monkeypatch.setattr(scenario_module, "hashlib",
-                            types.SimpleNamespace(sha256=sha256))
+        monkeypatch.setattr(hashlib, "sha256", sha256)
         # A text no other test loads, so no cached Scenario holds its hash.
         text = scenario_text + "# hashes-once\n"
         scenario = load_scenario(text)

@@ -1,7 +1,6 @@
 """The YAML codecs ``ringflow.scenario`` can run on, for tests that must
-cover both: the one it picked at import (libyaml's C codec where PyYAML
-was built with it) and PyYAML's pure-Python one, which machines without
-libyaml use."""
+cover both: the one it picks (libyaml's C codec where PyYAML was built with
+it) and PyYAML's pure-Python one, which machines without libyaml use."""
 
 from contextlib import contextmanager
 
@@ -10,18 +9,18 @@ import yaml
 
 import ringflow.scenario
 
-#: name -> (loader, dumper)
-CODECS = {
-    "default": (ringflow.scenario._LOADER, ringflow.scenario._DUMPER),
-    "pure-python": (yaml.SafeLoader, yaml.SafeDumper),
+#: name -> the codec accessor ``ringflow.scenario`` reads it through
+_ACCESSORS = {
+    "default": ringflow.scenario._codec,
+    "pure-python": lambda: (yaml.SafeLoader, yaml.SafeDumper),
 }
+#: name -> (loader, dumper)
+CODECS = {name: accessor() for name, accessor in _ACCESSORS.items()}
 
 
 @contextmanager
 def scenario_codec(name: str):
     """Read and write scenarios with codec ``name`` inside the block."""
-    loader, dumper = CODECS[name]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ringflow.scenario, "_LOADER", loader)
-        patch.setattr(ringflow.scenario, "_DUMPER", dumper)
+        patch.setattr(ringflow.scenario, "_codec", _ACCESSORS[name])
         yield

@@ -26,7 +26,10 @@ The keys, their order, types and defaults come from one table,
 ``dump_scenario`` and ``scenario_hash``) read.  Unknown keys are rejected
 with the offending dotted path.  Emitted tables are deterministic (6
 significant digits, '.' decimal separator, LF line endings) and embed the
-scenario hash plus the series options so results stay attributable.
+scenario hash plus the series options so results stay attributable.  A
+JSON cell is ``repr`` of its ``"%.6g"`` text's float, read off that text:
+``.0`` is appended to a text with neither point nor exponent, and only
+exponents ``e+06`` to ``e+15`` and ``e-308`` or below take ``repr``.
 
 A ``str`` text in the layout above is read directly, into the very
 document PyYAML would build: ``section:`` lines (or ``withdrawals: []``),
@@ -34,12 +37,13 @@ entries indented two spaces, withdrawals as ``- {key: value, ...}`` or as
 block items indented zero or two spaces; ``[a-z_]`` keys; plain ints,
 floats with a point (any exponent signed), ``true``, ``false`` and other
 words; printable ASCII, LF line ends, blank lines and ``#`` comments.  Any
-other text goes through PyYAML, imported only then, as does
-``dump_scenario``: libyaml's C codec (``CSafeLoader``, ``CSafeDumper``)
-where PyYAML was built with it, the pure-Python ``SafeLoader``/``SafeDumper``
-otherwise.  Both share PyYAML's constructor, representer and resolver, so
-scalar typing and dumped text are the same; only the message texts of
-:class:`ParseError` depend on the codec.
+other text goes through PyYAML, imported only then: libyaml's
+``CSafeLoader`` where PyYAML was built with it, the pure-Python
+``SafeLoader`` otherwise.  Both share PyYAML's constructor and resolver,
+so scalar typing is the same; only the message texts of
+:class:`ParseError` depend on the codec.  ``dump_scenario`` writes the
+layout itself, as PyYAML's safe dumper does: block withdrawal items at
+column 0, floats as ``repr`` with ``.0`` before a bare ``e``.
 
 ``load_scenario`` keeps the last 256 ``str`` texts it loaded, keyed with the
 codec: an equal text returns the same shared, immutable ``Scenario`` (and
@@ -60,6 +64,7 @@ import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import add
 
 from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
@@ -115,23 +120,21 @@ _SECTIONS = {
 
 @functools.cache
 def _codec():
-    """PyYAML's loader and dumper, libyaml's where available; PyYAML is
-    imported on the first call."""
+    """PyYAML's loader, libyaml's where available; imports PyYAML."""
     import yaml
-    return (getattr(yaml, "CSafeLoader", yaml.SafeLoader),
-            getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 #: ``key: value``, the value typed by the group it sets as PyYAML's
-#: resolver types it: an int, a float or a word.
-_PAIR = re.compile(r"([a-z_]+): +(?:(-?(?:0|[1-9][0-9]*))"
-                   r"|(-?[0-9]+\.[0-9]*(?:e[-+][0-9]+)?)|([a-z_]+))")
+#: resolver types it: an int, a float or a word.  ``re`` compiles and
+#: caches both patterns on first use.
+_PAIR = (r"([a-z_]+): +(?:(-?(?:0|[1-9][0-9]*))"
+         r"|(-?[0-9]+\.[0-9]*(?:e[-+][0-9]+)?)|([a-z_]+))")
 #: A line of the layout: indentation, item dash, and a pair or a flow
 #: mapping; or a section header, `` []`` for an empty list; then perhaps a
 #: comment.  Blank and comment lines set no group, other lines the last.
-_LINE = re.compile(
-    rf"^(?:( *)(- )?(?:{_PAIR.pattern}|\{{(.+)\}})|([a-z_]+):( \[\])?)"
-    r"(?: +#[ -~]*| *)$|^ *(?:#[ -~]*)?$|^(.+)$", re.MULTILINE)
+_LINE = (rf"(?m)^(?:( *)(- )?(?:{_PAIR}|\{{(.+)\}})|([a-z_]+):( \[\])?)"
+         r"(?: +#[ -~]*| *)$|^ *(?:#[ -~]*)?$|^(.+)$")
 _BOOLEANS = {"true": True, "false": False}
 #: Words the resolver reads as a boolean or as null.
 _RESERVED = frozenset({"true", "false", "yes", "no", "on", "off", "null"})
@@ -151,7 +154,7 @@ def _read_layout(text: str) -> dict | None:
     document, section, fill, items, indent = {}, None, {}, None, None
     try:
         for (spaces, dash, key, integer, number, word, flow, header, empty,
-             other) in _LINE.findall(text):
+             other) in re.findall(_LINE, text):
             if header and header not in _RESERVED:
                 section, fill, items = header, {}, None
                 document[section] = [] if empty else None
@@ -159,7 +162,7 @@ def _read_layout(text: str) -> dict | None:
             if other or header:             # off the layout, or a keyword
                 return None
             if flow:
-                matches = list(map(_PAIR.fullmatch, flow.split(", ")))
+                matches = [re.fullmatch(_PAIR, p) for p in flow.split(", ")]
                 if not all(matches):
                     return None
                 pairs = dict(_pair(*match.groups()) for match in matches)
@@ -311,7 +314,7 @@ def _load(text, codec) -> Scenario:
         # A tagged scalar its constructor rejects (a 13th month) raises a
         # ValueError, not a YAMLError.
         try:
-            document = yaml.load(text, Loader=codec()[0])
+            document = yaml.load(text, Loader=codec())
         except (yaml.YAMLError, ValueError) as exc:
             raise ParseError(f"malformed scenario document: {exc}") from exc
     if document is None:
@@ -343,11 +346,29 @@ def _load(text, codec) -> Scenario:
 _load_cached = functools.lru_cache(maxsize=_SCENARIO_CACHE)(_load)
 
 
+def _yaml_scalar(value) -> str:
+    """One value as PyYAML's safe representer writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if not isinstance(value, float):
+        return str(value)                   # an int, or an enum's word
+    if math.isfinite(value):
+        text = float.__repr__(value)
+        return text if "." in text else text.replace("e", ".0e")
+    return ".nan" if value != value else ".inf" if value > 0 else "-.inf"
+
+
 def dump_scenario(scenario: Scenario) -> str:
-    """Normalized YAML form; load_scenario round-trips it."""
-    import yaml
-    return yaml.dump(scenario.normalized(), Dumper=_codec()[1],
-                     sort_keys=False, default_flow_style=False)
+    """Normalized YAML form in the layout the module docstring names;
+    load_scenario round-trips it."""
+    lines = []
+    for section, node in scenario.normalized().items():
+        lines.append(f"{section}:" if node else f"{section}: []")
+        first = "  " if isinstance(node, dict) else "- "
+        for item in [node] if isinstance(node, dict) else node:
+            lines += [f"{'  ' if i else first}{key}: {_yaml_scalar(value)}"
+                      for i, (key, value) in enumerate(item.items())]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +561,27 @@ def _numbers(table: ProfileTable, row: str) -> str | None:
     return None if "n" in text else text          # nan, inf
 
 
+#: Token exponents ``repr`` writes otherwise (see the module docstring).
+_REPR_EXPONENTS = frozenset([f"+{e:02d}" for e in range(6, 16)]
+                            + [f"-{e}" for e in range(308, 325)])
+
+
+def _json_token(token: str) -> str:
+    """``repr(float(token))`` for a token of the ``"%.6g"`` pass: six digits
+    of a normal float round-trip, so ``repr`` differs only in notation."""
+    if "e" not in token:
+        return token if "." in token else token + ".0"
+    exponent = token.partition("e")[2]
+    return repr(float(token)) if exponent in _REPR_EXPONENTS else token
+
+
 @functools.lru_cache(maxsize=64)
 def _json_row(columns: tuple) -> tuple:
     """The column indices a JSON row holds, in sorted-name order (the last
     of duplicate names wins, as in a dict), and the row's template."""
     last = {name: index for index, name in enumerate(columns)}
     names = sorted(last)
-    keys = [json.dumps(name).replace("%", "%%") for name in names]
+    keys = [_json_str(name).replace("%", "%%") for name in names]
     fields = ",\n".join(f"      {key}: %s" for key in keys)
     return tuple(last[name] for name in names), "    {\n" + fields + "\n    }"
 
@@ -568,13 +603,40 @@ def table_payload(table: ProfileTable) -> dict:
             "rows": list(map(dict, map(zip, repeat(table.columns), rows)))}
 
 
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes
+    it, its nested lines opened by ``newline``."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON "
+                         "compliant: " + repr(value))
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or isinstance(value, int):     # bool is an int
+        return ("null" if value is None else "true" if value is True
+                else "false" if value is False else int.__repr__(value))
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items, ends = [_json_str(key) + ": " + _json(value[key], inner)
+                       for key in sorted(value)], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] \
+        if items else ends
+
+
 def dump_json(payload) -> str:
-    """Deterministic JSON text; a NaN or infinity raises NonFiniteResult."""
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, for
+    dicts with str keys, lists, tuples and scalars; a NaN or infinity
+    raises NonFiniteResult, any other type TypeError."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        return _json(payload, "\n") + "\n"
     except ValueError as exc:
         raise NonFiniteResult(f"result is not valid JSON: {exc}") from None
-    return text + "\n"
 
 
 def emit(table: ProfileTable, fmt: str = "csv") -> str:
@@ -605,9 +667,10 @@ def emit(table: ProfileTable, fmt: str = "csv") -> str:
                             "columns": list(table.columns),
                             "metadata": _json_metadata(table)})[:-3]
         order, row = _json_row(tuple(table.columns))
-        reprs = list(map(float.__repr__, map(float, text.split())))
-        rows = map(row.__mod__, zip(*[reprs[i::width] for i in order]))
-        return header + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+        tokens = list(map(_json_token, text.split()))
+        cells = chain.from_iterable(zip(*[tokens[i::width] for i in order]))
+        rows = ((row + ",\n") * len(table.rows)) % tuple(cells)
+        return header + ',\n  "rows": [\n' + rows[:-2] + "\n  ]\n}\n"
     raise InvalidParameter(f"unknown table format {fmt!r}")
 
 

@@ -19,16 +19,20 @@ from hypothesis import strategies as st
 
 import emit_reference as reference
 from ringflow import InvalidParameter, NonFiniteResult, ProfileTable, emit
-from ringflow.scenario import table_payload
+from ringflow.scenario import _json_token, dump_json, table_payload
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 #: Fewer examples for tables of up to 60 rows, drawn cell by cell.
 NUMBER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
-#: Floats at the edges of 6-digit formatting and of the float range.
+#: Floats at the edges of 6-digit formatting, of the exponents where a
+#: JSON number is not its ``"%.6g"`` text (e+06 to e+15, e-308 and below)
+#: and of the float range.
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                -1e308, 1.7976931348623157e308, 999999.5, -999999.5,
-               9999995.0, 0.000123456789, 1e-5, 123456.5, 1e16)
+               9999995.0, 0.000123456789, 1e-5, 123456.5, 1e16, 999999.4,
+               1e6, 9.9999949e15, 9.999995e15, -1e15, 1e-307, 1e-308,
+               -1.23456e-310, 4.9406564584124654e-322)
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 floats = st.floats(allow_nan=False, allow_infinity=False) \
@@ -209,3 +213,44 @@ def test_container_cell_is_laid_out_as_json_lays_it_out():
                          rows=((1.0, [1.5, {"b": None, "a": True}]),),
                          metadata={})
     assert emit(table, "json") == reference.emit(table, "json")
+
+
+#: Mantissas m of the tokens ``"%.6g" % (±m * 10**e)``: ones that round up
+#: to the next power of ten, stay just below it, or are the float range's
+#: smallest normal and subnormal.
+MANTISSAS = (1.0, 1.5, 1.23456789, 7.0, 9.999995, 9.9999949,
+             2.2250738585072014, 4.9406564584124654)
+
+
+def test_json_token_is_repr_of_the_float():
+    values = [sign * float(f"{m!r}e{e}") for m in MANTISSAS
+              for e in range(-330, 331) for sign in (1.0, -1.0)]
+    tokens = {"%.6g" % (v + 0.0) for v in values + [999999.5, -999999.5]
+              if math.isfinite(v)}
+    for edge in ("100000", "999999", "1e+06", "9.99999e+15", "1e+16",
+                 "1e-307", "1e-308", "4.94066e-324", "-1e+06"):
+        assert edge in tokens
+    assert {t: _json_token(t) for t in tokens} \
+        == {t: repr(float(t)) for t in tokens}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | st.floats() | texts,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(texts | names, children, max_size=4),
+    max_leaves=20)
+
+
+@NUMBER_SETTINGS
+@given(json_values)
+def test_dump_json_writes_what_json_writes(value):
+    """Text, or exception and message, as json.dumps gives them."""
+    assert outcome(dump_json, value) == outcome(reference.dump_json, value)
+
+
+@pytest.mark.parametrize("value", [object(), {"a": [1.0, {1, 2}]}],
+                         ids=["object", "nested set"])
+def test_dump_json_refuses_other_types_as_json_does(value):
+    assert outcome(dump_json, value) == outcome(reference.dump_json, value)
+    assert outcome(dump_json, value)[0] is TypeError

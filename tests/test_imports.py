@@ -22,6 +22,29 @@ PRESSURE_TEXT = ("# scenario=70d5dc407302\n"
                  "x_m,t_s,p_pa,dP_dx_pa_per_m\n"
                  "100,50,123612,1.58865\n")
 
+#: ``echo-config`` on the reference scenario, as PyYAML's dumper wrote it.
+ECHO_CONFIG_TEXT = """\
+pipeline:
+  length_m: 30000.0
+  sound_speed_m_s: 383.3
+  linearization_a_per_s: 0.05
+  inlet_pressure_pa: 140000.0
+  base_flow: 10.0
+withdrawals:
+- position_m: 12000.0
+  rate: 11.0
+series:
+  truncation: 100
+  decay_mode: alpha
+  withdrawal_model: point
+  gradient_mode: base_only
+  closed_form_acceleration: true
+safety:
+  optimal_max: 0.1
+  permissible_max: 0.2
+  unsafe_min: 0.25
+"""
+
 #: Runs each argv of the JSON list in argv[1] through ``cli.run`` in one
 #: process and prints, per query, the exit code, whether numpy is loaded,
 #: stdout, stderr and whether PyYAML is loaded.
@@ -86,23 +109,22 @@ def test_front_door_leaves_numpy_unloaded(tmp_path):
 
 
 def test_scenario_layout_leaves_yaml_unloaded(tmp_path):
-    """Queries on a scenario of the documented layout, and those without a
-    scenario, never import PyYAML; dumping and other YAML still do."""
+    """Queries on a scenario of the documented layout, those without a
+    scenario and ``echo-config`` never import PyYAML; other YAML does."""
     malformed = tmp_path / "malformed.yaml"
     malformed.write_text("pipeline: [unclosed\n", encoding="utf-8")
     yaml_free = [
         ["classify", "--nominal", "125000", "--current", "100000"],
         ["pressure", "--scenario", REF, "--x", "100", "--time", "50"],
         ["node", "--scenario", REF, "--time", "100"],
+        ["echo-config", "--scenario", REF],
     ]
     results = _run_in_fresh_process(
         yaml_free + [["node", "--scenario", str(malformed), "--time", "100"]])
     assert [(code, yaml_loaded) for code, _, _, _, yaml_loaded in results] \
-        == [(0, False)] * 3 + [(1, True)]
+        == [(0, False)] * 4 + [(1, True)]
     assert results[1][2] == PRESSURE_TEXT
-    (code, _, out, _, yaml_loaded), = _run_in_fresh_process(
-        [["echo-config", "--scenario", REF]])
-    assert (code, yaml_loaded) == (0, True) and out.startswith("pipeline:\n")
+    assert results[3][2] == ECHO_CONFIG_TEXT
 
 
 def test_names_are_their_home_objects():

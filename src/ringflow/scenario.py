@@ -31,18 +31,18 @@ JSON cell is ``repr`` of its ``"%.6g"`` text's float, read off that text:
 ``.0`` is appended to a text with neither point nor exponent, and only
 exponents ``e+06`` to ``e+15`` and ``e-308`` or below take ``repr``.
 
-A ``str`` text in the layout above is read directly, into the very
-document PyYAML would build: ``section:`` lines (or ``withdrawals: []``),
-entries indented two spaces, withdrawals as ``- {key: value, ...}`` or as
-block items indented zero or two spaces; ``[a-z_]`` keys; plain ints,
-floats with a point (any exponent signed), ``true``, ``false`` and other
-words; printable ASCII, LF line ends, blank lines and ``#`` comments.  Any
-other text goes through PyYAML, imported only then: libyaml's
-``CSafeLoader`` where PyYAML was built with it, the pure-Python
-``SafeLoader`` otherwise.  Both share PyYAML's constructor and resolver,
-so scalar typing is the same; only the message texts of
-:class:`ParseError` depend on the codec.  ``dump_scenario`` writes the
-layout itself, as PyYAML's safe dumper does: block withdrawal items at
+A ``str`` text in the layout above is read directly, into the document
+PyYAML would build: ``section:`` lines (or ``withdrawals: []``), entries
+indented two spaces, withdrawals as ``- {key: value, ...}`` or as block
+items indented zero or two spaces, a section as one flow mapping
+(``series: {truncation: 50}``, pairs parted by ``", "``); ``[a-z_]`` keys;
+plain ints, floats with a point (any exponent signed), ``true``, ``false``
+and other words; printable ASCII, LF line ends, blank lines and ``#``
+comments.  Other texts (an empty ``{}``, a nested or quoted value) go
+through PyYAML, imported only then: libyaml's ``CSafeLoader`` where PyYAML
+has it, else the pure-Python ``SafeLoader``; both type scalars alike, and
+only :class:`ParseError` texts depend on the codec.  ``dump_scenario``
+writes the layout as PyYAML's safe dumper does: block withdrawal items at
 column 0, floats as ``repr`` with ``.0`` before a bare ``e``.
 
 ``load_scenario`` keeps the last 256 ``str`` texts it loaded, keyed with the
@@ -130,11 +130,11 @@ def _codec():
 #: caches both patterns on first use.
 _PAIR = (r"([a-z_]+): +(?:(-?(?:0|[1-9][0-9]*))"
          r"|(-?[0-9]+\.[0-9]*(?:e[-+][0-9]+)?)|([a-z_]+))")
-#: A line of the layout: indentation, item dash, and a pair or a flow
-#: mapping; or a section header, `` []`` for an empty list; then perhaps a
+#: A line: a section header, or indentation and item dash, then a pair or a
+#: flow mapping; or a header, `` []`` for an empty list; then perhaps a
 #: comment.  Blank and comment lines set no group, other lines the last.
-_LINE = (rf"(?m)^(?:( *)(- )?(?:{_PAIR}|\{{(.+)\}})|([a-z_]+):( \[\])?)"
-         r"(?: +#[ -~]*| *)$|^ *(?:#[ -~]*)?$|^(.+)$")
+_LINE = (rf"(?m)^(?:(?:([a-z_]+): (?=\{{)|( *)(- )?)(?:{_PAIR}|\{{(.+)\}})"
+         r"|([a-z_]+):( \[\])?)(?: +#[ -~]*| *)$|^ *(?:#[ -~]*)?$|^(.+)$")
 _BOOLEANS = {"true": True, "false": False}
 #: Words the resolver reads as a boolean or as null.
 _RESERVED = frozenset({"true", "false", "yes", "no", "on", "off", "null"})
@@ -153,13 +153,13 @@ def _read_layout(text: str) -> dict | None:
     module docstring names; None for any other text."""
     document, section, fill, items, indent = {}, None, {}, None, None
     try:
-        for (spaces, dash, key, integer, number, word, flow, header, empty,
-             other) in re.findall(_LINE, text):
+        for (whole, spaces, dash, key, integer, number, word, flow, header,
+             empty, other) in re.findall(_LINE, text):
             if header and header not in _RESERVED:
                 section, fill, items = header, {}, None
                 document[section] = [] if empty else None
                 continue
-            if other or header:             # off the layout, or a keyword
+            if other or header or whole in _RESERVED:   # off the layout
                 return None
             if flow:
                 matches = [re.fullmatch(_PAIR, p) for p in flow.split(", ")]
@@ -170,6 +170,9 @@ def _read_layout(text: str) -> dict | None:
                 pairs = dict([_pair(key, integer, number, word)])
             else:
                 continue                    # a blank or comment line
+            if whole:                       # a section as one flow mapping
+                document[whole], section, fill, items = pairs, whole, {}, None
+                continue
             depth = len(spaces)
             if document.get(section, ()) is None:   # the section's first entry
                 if dash and depth in (0, 2):
@@ -201,41 +204,47 @@ def _reject_unknown(node: dict, allowed, path: str) -> None:
             raise ValidationError(f"{path}.{key}: unknown key")
 
 
-def _read(value, default, path: str):
+def _read(value, default, path: str, key: str):
     """One scalar, typed by the default of the field it fills."""
+    if default is MISSING or isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{path}.{key}: expected a number")
+        # Exact for integers too: math.isfinite raises on one beyond floats.
+        if not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{path}.{key}: expected a finite number")
+        return float(value)
     if isinstance(default, enum.Enum):
         try:
             return type(default)(value)
         except ValueError:
             options = ", ".join(m.value for m in type(default))
             raise ValidationError(
-                f"{path}: expected one of {options}") from None
+                f"{path}.{key}: expected one of {options}") from None
     if isinstance(default, bool):
         if not isinstance(value, bool):
-            raise ValidationError(f"{path}: expected a boolean")
-        return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{path}: expected an integer")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number")
-    # Exact for integers too: math.isfinite raises on one beyond the floats.
-    if not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{path}: expected a finite number")
-    return float(value)
+            raise ValidationError(f"{path}.{key}: expected a boolean")
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}.{key}: expected an integer")
+    return value
+
+
+#: Per section, built once: its fields' defaults, and its hash text.
+_DEFAULTS = {section: {f.name: f.default for f in fields(cls)}
+             for section, (cls, _) in _SECTIONS.items()}
+_TEXTS = {section: "{%s}" % ",".join(f'"{key}":%({name})s'
+                                     for key, name in sorted(keys.items()))
+          for section, (_, keys) in _SECTIONS.items()}
 
 
 def _section(node, section: str, path: str):
     """Build one section's dataclass from its mapping, keys in table order."""
-    cls, keys = _SECTIONS[section]
+    (cls, keys), defaults = _SECTIONS[section], _DEFAULTS[section]
     node = _require_mapping(node, path)
     _reject_unknown(node, keys, path)
-    defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key, name in keys.items():
         if key in node:
-            values[name] = _read(node[key], defaults[name], f"{path}.{key}")
+            values[name] = _read(node[key], defaults[name], path, key)
         elif defaults[name] is MISSING:
             raise ValidationError(f"{path}.{key}: missing required key")
     try:
@@ -288,10 +297,26 @@ class Scenario:
 
     @functools.cached_property
     def _digest(self) -> str:
-        # Once per instance: every table and the report embed the hash.
+        # Once per instance: every table and the report embed the hash of
+        # json.dumps(self.normalized(), sort_keys=True, separators=(",", ":")),
+        # written from _TEXTS for the value types a loaded scenario holds.
         import hashlib
-        canonical = json.dumps(self.normalized(), sort_keys=True,
-                               separators=(",", ":"))
+        pipeline, point, series, safety = _TEXTS.values()
+        points = list(map(vars, self.schedule.points))
+        numbers = [*vars(self.pipeline).values(), *vars(self.safety).values(),
+                   *chain.from_iterable(map(dict.values, points))]
+        words = vars(self.series)
+        texts = {name: _json(word, "") for name, word in words.items()
+                 if isinstance(word, (int, str))}
+        if ({float}.issuperset(map(type, numbers)) and len(texts) == len(words)
+                and all(map(math.isfinite, numbers))):
+            canonical = (
+                '{"pipeline":%s,"safety":%s,"series":%s,"withdrawals":[%s]}'
+                % (pipeline % vars(self.pipeline), safety % vars(self.safety),
+                   series % texts, ",".join(map(point.__mod__, points))))
+        else:
+            canonical = json.dumps(self.normalized(), sort_keys=True,
+                                   separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -423,9 +448,9 @@ def gradient_table(scenario: Scenario, t_list, dx: float) -> ProfileTable:
     positions.append(cfg.length_m)  # i * dx can round past L
     grad = _regularized_gradient(positions, t_list, scenario.schedule, cfg,
                                  scenario.series)
-    rows = tuple((x, t, value)
-                 for x, column in zip(positions, grad.T.tolist())
-                 for t, value in zip(t_list, column))
+    times = repeat(len(t_list))         # each position once per time
+    rows = tuple(zip(chain.from_iterable(map(repeat, positions, times)),
+                     list(t_list) * len(positions), grad.T.ravel().tolist()))
     metadata = _base_metadata(scenario)
     metadata["dx_m"] = dx
     return ProfileTable(axis="space_scan",
@@ -539,9 +564,9 @@ def _json_value(value):
 
 
 def _numbers(table: ProfileTable, row: str) -> str | None:
-    """The template ``row``, one ``%.6g`` per column, filled with every
-    row's cells ``+ 0.0`` (-0.0 folds to 0.0) in one ``%`` pass: the
-    number rule of :func:`_format_cell` and :func:`_json_value`.
+    """The template ``row``, one ``%.6g`` per column, filled with all cells
+    in one ``%`` pass, again ``+ 0.0`` (-0.0 folds to 0.0) if that wrote a
+    ``-0``: the number rule of :func:`_format_cell` and :func:`_json_value`.
 
     Only for a table with cells, each exactly a float, all finite; for any
     other None, and the caller takes the per-cell rule, which raises on the
@@ -557,7 +582,9 @@ def _numbers(table: ProfileTable, row: str) -> str | None:
     cells = tuple(chain.from_iterable(table.rows))
     if not cells or not {float}.issuperset(map(type, cells)):
         return None
-    text = (row * len(table.rows)) % tuple(map(add, cells, repeat(0.0)))
+    text = (row * len(table.rows)) % cells
+    if "-0," in text or "-0\n" in text or "-0 " in text:  # -0.0 (%g's -0)
+        text = (row * len(table.rows)) % tuple(map(add, cells, repeat(0.0)))
     return None if "n" in text else text          # nan, inf
 
 

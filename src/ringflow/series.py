@@ -17,13 +17,13 @@ One kernel, ``_mode_sum``, evaluates sum_n trig(n*u) * E_n / n^p (sin for
 odd p, cos for even p) for a vector of times and a vector of angles u in
 [0, 2*pi] as a (times x angles) array whose rows at t = 0 are exactly zero.
 Its per-time half, the *basis* (``_basis``: the checked times, the mode
-numbers, exp(-n^2*rate*t) and the t = 0 rows), is built once per field
-evaluation, whose positions ``_grid`` checks once, and is shared only
-between evaluations at equal times and decay rate.  The field and its
-gradient are (times x positions) arrays, so the public scalar functions
-only read one cell.  ``_add_taps`` is the one tap loop (of the response and
-the gradient), ``_point_response`` the one point-mode response (per-unit
-drops, the inlet floor, the oracle's references) and
+numbers, exp(-n^2*rate*t) with its weights by power, and the t = 0 rows),
+is built once per field evaluation, whose positions ``_grid`` checks once,
+and is shared only between evaluations at equal times and decay rate.  The
+field and its gradient are (times x positions) arrays, so the public scalar
+functions only read one cell.  ``_add_taps`` is the one tap loop (of the
+response and the gradient), ``_point_response`` the one point-mode response
+(per-unit drops, the inlet floor, the oracle's references) and
 ``_regularized_gradient`` the one gradient that is 0 at taps.  The plain
 route sums ``truncation_n`` terms.  The accelerated route (default) takes
 the time-independent part of each sum from its exact closed form,
@@ -87,9 +87,10 @@ _CLOSED_FORMS = {
 
 def _positions(x, cfg: PipelineConfig) -> np.ndarray:
     """Positions as an array, checked against [0, L]."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = (x >= 0.0) & (x <= cfg.length_m)
-    if not inside.all():
+    x = np.array(x, dtype=float, ndmin=1)
+    if not (np.minimum.reduce(x, None, initial=0.0) >= 0.0
+            and np.maximum.reduce(x, None, initial=0.0) <= cfg.length_m):
+        inside = (x >= 0.0) & (x <= cfg.length_m)
         raise OutOfDomain(f"position {x[~inside][0]:g} "
                           f"outside [0, {cfg.length_m:g}]")
     return x
@@ -101,9 +102,9 @@ def _positions(x, cfg: PipelineConfig) -> np.ndarray:
 
 def _modes(times: np.ndarray, rate: float, opts: SeriesOptions) -> int:
     """Modes to sum: ``truncation_n``, or N_eff under acceleration."""
-    positive = times[times > 0.0]
-    if opts.closed_form_acceleration and positive.size:
-        exponent = rate * float(positive.min())
+    positive = times[times > 0.0] if opts.closed_form_acceleration else ()
+    if len(positive):
+        exponent = rate * float(np.minimum.reduce(positive))
         # Compared as floats: a tiny exponent makes the bound inf.
         if exponent > 0.0:
             bound = math.sqrt(_NEGLIGIBLE_EXPONENT / exponent)
@@ -112,20 +113,22 @@ def _modes(times: np.ndarray, rate: float, opts: SeriesOptions) -> int:
     return opts.truncation_n
 
 
-#: The per-time half of every mode sum at one set of checked times: mode
-#: numbers n, exp(-n^2*rate*t) (times x modes) and the rows at t = 0.
-_Basis = namedtuple("_Basis", "times n decay zero")
+#: The per-time half of every mode sum at checked times: n, S = E or 1 - E
+#: (plain), E = exp(-n^2*rate*t), weights S/n^p by p, t = 0 rows or None.
+_Basis = namedtuple("_Basis", "times n scale weights zero")
 
 
 def _basis(times, rate: float, opts: SeriesOptions) -> _Basis:
     """Times checked against [0, inf) and their basis at decay ``rate``."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    finite = (times >= 0.0) & (times < math.inf)
-    if not finite.all():
+    times = np.array(times, dtype=float, ndmin=1)
+    least = np.minimum.reduce(times, None, initial=math.inf)
+    if not (least >= 0.0 and times.max(initial=0.0) < math.inf):
+        finite = (times >= 0.0) & (times < math.inf)
         raise OutOfDomain(f"time {times[~finite][0]:g} outside [0, inf)")
     n = np.arange(1.0, _modes(times, rate, opts) + 1.0)
-    return _Basis(times, n, np.exp(-((rate * times)[:, None] * (n * n))),
-                  times == 0.0)
+    decay = np.exp(-((rate * times)[:, None] * (n * n)))
+    return _Basis(times, n, decay if opts.closed_form_acceleration else
+                  1.0 - decay, {}, times == 0.0 if least == 0.0 else None)
 
 
 def _grid(x, times, cfg: PipelineConfig, opts: SeriesOptions):
@@ -138,17 +141,18 @@ def _grid(x, times, cfg: PipelineConfig, opts: SeriesOptions):
 
 def _mode_sum(theta, basis: _Basis, opts: SeriesOptions, power: int):
     """sum_n trig(n*u) * (1 - exp(-n^2*rate*t)) / n^power, u in [0, 2*pi]."""
-    n, decay = basis.n, basis.decay
+    n, weights = basis.n, basis.weights.get(power)
+    if weights is None:
+        weights = basis.weights[power] = basis.scale / n**power
     blocks = -(-theta.size * n.size // _TRIG_ELEMENTS)
     if blocks > 1 and theta.size > 1:
         return np.hstack([_mode_sum(u, basis, opts, power)
                           for u in np.array_split(theta, blocks)])
-    trig = (np.sin if power % 2 else np.cos)(n[:, None] * theta)
+    out = weights @ (np.sin if power % 2 else np.cos)(n[:, None] * theta)
     if opts.closed_form_acceleration:
-        out = _CLOSED_FORMS[power](theta) - (decay / n**power) @ trig
-    else:
-        out = ((1.0 - decay) / n**power) @ trig
-    out[basis.zero] = 0.0
+        out = _CLOSED_FORMS[power](theta) - out
+    if basis.zero is not None:
+        out[basis.zero] = 0.0
     return out
 
 
@@ -159,7 +163,7 @@ def _half_wave_sum(x, times, cfg: PipelineConfig,
     out = _mode_sum(_PI * (x / cfg.length_m), basis, opts, 3)
     # The half-wave modes vanish identically at both ring ends; force the
     # exact zeros the truncated trigonometry only approximates.
-    out[:, (x == 0.0) | (x == cfg.length_m)] = 0.0
+    out[:, x % cfg.length_m == 0.0] = 0.0    # x is 0 or L
     return out
 
 
@@ -177,7 +181,8 @@ def _add_taps(out, x, basis: _Basis, schedule: WithdrawalSchedule,
             if model is WithdrawalModel.HEAVISIDE:
                 value = np.where(x >= point.position_m, value, 0.0)
             out += value
-    out[basis.zero] = 0.0
+    if basis.zero is not None:
+        out[basis.zero] = 0.0
     return out
 
 
@@ -199,8 +204,9 @@ def _pressure_field(x, times, schedule: WithdrawalSchedule,
                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
     x, basis = _grid(x, times, cfg, opts)
     coeff = (2.0 * cfg.linearization_a * cfg.base_flow * cfg.length_m) / _PI
-    return (cfg.nominal_pressure() + coeff * _half_wave_sum(x, basis, cfg, opts)
-            + _response_kernel(x, basis, schedule, cfg, opts))
+    field = cfg.nominal_pressure() + coeff * _half_wave_sum(x, basis, cfg, opts)
+    return field + _response_kernel(x, basis, schedule, cfg, opts) \
+        if schedule.points else field       # no taps: no zeros to add
 
 
 def _point_response(x, times, schedule: WithdrawalSchedule,
@@ -227,7 +233,7 @@ def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
     grad = (2.0 * cfg.linearization_a * cfg.base_flow
             * _mode_sum(_PI * (x / length), basis, opts, 2))
     if (mode or opts.gradient_mode) is not GradientMode.FULL:
-        schedule = EMPTY_SCHEDULE
+        return grad                 # its t = 0 rows are a mode sum's zeros
     scale = 4.0 * _PI * cfg.sound_speed_m_s**2 / (length**2 * cfg.alpha())
     return _add_taps(grad, x, basis, schedule, cfg, opts, 1,
                      lambda series, rate: scale * rate * series)
@@ -238,11 +244,8 @@ def _regularized_gradient(x, times, schedule: WithdrawalSchedule,
     """dP/dx with the columns at tap positions set to exactly 0."""
     x, basis = _grid(x, times, cfg, opts)
     grad = _gradient(x, basis, schedule, cfg, opts)
-    if schedule.points:
-        at_tap = x == schedule.points[0].position_m
-        for point in schedule.points[1:]:
-            at_tap |= x == point.position_m
-        grad[:, at_tap] = 0.0
+    for point in schedule.points:
+        grad[:, x == point.position_m] = 0.0
     return grad
 
 

@@ -7,7 +7,12 @@ The ledger holds one SHA-256 digest per output:
   undocumented exception and its stdout;
 * for each scenario text of ``plan`` seed 4's 45 rounds that loads, its
   ``dump_scenario`` text and, for a one-tap scenario, the text of
-  ``dump_json(build_report(s))`` or the class of the error it raises.
+  ``dump_json(build_report(s))`` or the class of the error it raises;
+* the raw bytes of ``series._pressure_field``, ``_gradient`` and
+  ``_point_response`` over a seeded sweep of rings (``arrays``): both
+  routes, both withdrawal models, both gradient modes and both decay
+  modes, at times from 0 and 0.05 s to 600 s, so that a last bit or the
+  sign of a zero counts even where no emitted digit shows it.
 
 The digests pin a build: numpy's matrix products may sum in another order
 with another BLAS or on a CPU with other SIMD extensions, which changes
@@ -52,6 +57,58 @@ def _digest(*parts) -> str:
     return hashlib.sha256("\n".join(map(str, parts)).encode()).hexdigest()
 
 
+#: Cases of the ``arrays`` sweep, and the times its cases draw from.
+ARRAY_CASES = 64
+ARRAY_TIMES = (0.0, 0.05, 0.3, 2.0, 15.0, 100.0, 600.0)
+
+
+def arrays() -> dict:
+    """Raw-byte digests of the field arrays over a seeded ring sweep: case
+    ``k``'s bits pick the route, withdrawal model, gradient mode and decay
+    mode, and a seeded draw its ring, taps, positions and times."""
+    from ringflow.core import (DecayMode, GradientMode, PipelineConfig,
+                               SeriesOptions, WithdrawalModel,
+                               WithdrawalSchedule)
+    from ringflow.series import _gradient, _point_response, _pressure_field
+
+    rng = numpy.random.default_rng(2)
+    out = {}
+    for case in range(ARRAY_CASES):
+        length = float(rng.uniform(2e3, 6e4))
+        a = float(rng.uniform(0.005, 0.1))
+        inlet = float(rng.uniform(1e5, 2e5))
+        cfg = PipelineConfig(length, float(rng.uniform(300.0, 430.0)), a,
+                             inlet, float(rng.uniform(0.0, 0.6)) * inlet
+                             / (a * length))
+        accelerated = not case & 1
+        opts = SeriesOptions(
+            truncation_n=int(rng.choice((10, 50, 100, 400) if accelerated
+                                        else (10, 50, 100))),
+            decay_mode=(DecayMode.ALPHA, DecayMode.A)[case >> 3 & 1],
+            withdrawal_model=(WithdrawalModel.POINT,
+                              WithdrawalModel.HEAVISIDE)[case >> 1 & 1],
+            gradient_mode=(GradientMode.BASE_ONLY,
+                           GradientMode.FULL)[case >> 2 & 1],
+            closed_form_acceleration=accelerated)
+        taps = numpy.unique(rng.uniform(0.0, length, rng.integers(0, 4)))
+        schedule = WithdrawalSchedule.from_pairs(
+            (float(x), float(rng.uniform(0.0, 20.0))) for x in taps)
+        count = int(rng.choice((1, 1, 4, 41, 801)))
+        x = rng.uniform(0.0, length, count)
+        if count > 1:
+            x = numpy.sort(numpy.concatenate((x, [0.0, length], taps)))
+        times = rng.choice(ARRAY_TIMES, int(rng.integers(1, 4)),
+                           replace=False)
+        for name, field in (("pressure", _pressure_field),
+                            ("gradient", _gradient),
+                            ("point response", _point_response)):
+            values = field(x, times, schedule, cfg, opts)
+            out[f"case {case:02d} {name}"] = _digest(
+                values.dtype, values.shape,
+                hashlib.sha256(values.tobytes()).hexdigest())
+    return out
+
+
 def digests(rounds: int = ROUNDS) -> dict:
     """The ledger's sections, computed now; ``bench`` must be importable."""
     from inputs import query_inputs
@@ -86,7 +143,8 @@ def digests(rounds: int = ROUNDS) -> dict:
             except RingflowError as exc:
                 report = type(exc).__name__
             reports[name] = _digest(report)
-    return {"queries": queries, "scenarios": scenarios, "reports": reports}
+    return {"queries": queries, "scenarios": scenarios, "reports": reports,
+            "arrays": arrays()}
 
 
 def test_outputs_equal_the_ledger(monkeypatch):

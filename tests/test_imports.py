@@ -127,6 +127,28 @@ def test_scenario_layout_leaves_yaml_unloaded(tmp_path):
     assert results[3][2] == ECHO_CONFIG_TEXT
 
 
+def test_flow_sections_leave_yaml_unloaded(tmp_path):
+    """A section written as one flow mapping is read without PyYAML: an
+    unknown one is refused with exit 2 and one JSON line naming it."""
+    reference = Path(REF).read_text(encoding="utf-8")
+    unknown = tmp_path / "unknown.yaml"
+    unknown.write_text(reference + "extras: {colour: red}\n",
+                       encoding="utf-8")
+    truncated = tmp_path / "truncated.yaml"
+    truncated.write_text(reference + "series: {truncation: 50}\n",
+                         encoding="utf-8")
+    results = _run_in_fresh_process([
+        ["node", "--scenario", str(unknown), "--time", "100"],
+        ["pressure", "--scenario", str(truncated), "--x", "100",
+         "--time", "50"]])
+    (code, _, out, err, yaml_loaded), pressure = results
+    assert (code, out, yaml_loaded) == (2, "", False)
+    assert len(err.splitlines()) == 1
+    assert "scenario.extras: unknown key" in json.loads(err)["message"]
+    assert (pressure[0], pressure[4]) == (0, False)
+    assert pressure[2].startswith("# scenario=")
+
+
 def test_names_are_their_home_objects():
     for name in ringflow.__all__:
         if name == "__version__":

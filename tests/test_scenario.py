@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -210,6 +211,85 @@ def scenarios(draw):
     bands = sorted(draw(st.lists(st.floats(1.0e-6, 0.999), min_size=3,
                                  max_size=3)))
     return Scenario(pipeline, schedule, series, SafetyThresholds(*bands))
+
+
+#: Values a scenario built in code may hold where a loaded one holds a
+#: finite float, an int, a bool or an enum member.
+_ODD_NUMBERS = [lambda v: int(v) or 1, np.float64, lambda v: True,
+                lambda v: math.inf]
+_ODD_WORDS = [1, "a", "point", "full", None, [1], 2.5, math.inf, np.int64(3),
+              {"a": 1}, True]
+
+
+@st.composite
+def odd_scenarios(draw):
+    """A scenario of :func:`scenarios` with up to three values swapped for
+    ones only code builds: an int, a numpy float, a bool or an infinity for
+    a number, any value for a series option."""
+    scenario = draw(scenarios())
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from(["pipeline", "safety", "series",
+                                     "withdrawal"]))
+        obj = scenario.schedule.points[0] if part == "withdrawal" \
+            else getattr(scenario, part)
+        name = draw(st.sampled_from([f.name for f in dataclasses.fields(obj)]))
+        value = draw(st.sampled_from(_ODD_WORDS)) if part == "series" \
+            else draw(st.sampled_from(_ODD_NUMBERS))(getattr(obj, name))
+        try:
+            new = dataclasses.replace(obj, **{name: value})
+            if part == "withdrawal":
+                scenario = dataclasses.replace(
+                    scenario, schedule=WithdrawalSchedule(
+                        (new, *scenario.schedule.points[1:])))
+            else:
+                scenario = dataclasses.replace(scenario, **{part: new})
+        except (InvalidParameter, TypeError, ValueError, OverflowError):
+            pass                            # a value the dataclass refuses
+    return scenario
+
+
+def _json_hash(scenario: Scenario) -> str:
+    text = json.dumps(scenario.normalized(), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+class TestScenarioHash:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(odd_scenarios())
+    def test_hash_is_that_of_the_json_text(self, scenario):
+        """The hash is of ``json.dumps(normalized(), sort_keys=True,
+        separators=(",", ":"))`` for every scenario, built in code with
+        any value too: the same digest, or the same error."""
+        try:
+            want = _json_hash(scenario)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                scenario.scenario_hash()
+        else:
+            assert scenario.scenario_hash() == want
+
+    def test_numpy_int_raises_as_json_does(self, scenario):
+        odd = dataclasses.replace(scenario, series=dataclasses.replace(
+            scenario.series, decay_mode=np.int64(3)))
+        with pytest.raises(TypeError):
+            _json_hash(odd)
+        with pytest.raises(TypeError):
+            odd.scenario_hash()
+
+    def test_loaded_scenarios_hash_their_json_text(self, scenario):
+        for text in (dump_scenario(scenario), MINIMAL, FLOW_SECTIONS[
+                "flow-sections"]):
+            loaded = load_scenario(text + "# loaded\n")
+            assert loaded.scenario_hash() == _json_hash(loaded)
+
+    def test_checks_are_built_once(self, scenario, monkeypatch):
+        def fields(cls):
+            raise AssertionError("dataclasses.fields called on a load")
+
+        monkeypatch.setattr(scenario_module, "fields", fields)
+        text = dump_scenario(scenario) + "# checks-built-once\n"
+        assert load_scenario(text) == scenario
 
 
 class TestFormat:
@@ -440,7 +520,10 @@ OFF_LAYOUT = {
     "non-ascii-comment": MINIMAL + "# 30 km – reference\n",
     "three-spaces": MINIMAL.replace("  base_flow", "   base_flow"),
     "top-level-scalar": "pipeline: 3\n",
-    "flow-section": MINIMAL + "series: {truncation: 10}\n",
+    "empty-flow-section": MINIMAL + "series: {}\n",
+    "nested-flow-section": MINIMAL + "series: {truncation: {n: 10}}\n",
+    "quoted-flow-value": MINIMAL + "series: {decay_mode: 'a'}\n",
+    "flow-section-comma": MINIMAL + "series: {truncation: 10,decay_mode: a}\n",
     "mixed-items": MINIMAL + "withdrawals:\n  - {rate: 1}\n- {rate: 2}\n",
     "flow-then-block": MINIMAL + "withdrawals:\n- {rate: 1}\n  position_m: 2\n",
     "hash-in-value": MINIMAL.replace("10\n", "10#x\n"),
@@ -512,14 +595,62 @@ def layout_texts(draw):
     return text
 
 
+#: Sections written as one flow mapping, which the reader reads too.
+FLOW_SECTIONS = {
+    "flow-section": MINIMAL + "series: {truncation: 10}\n",
+    "flow-sections": "safety: {optimal_max: 0.1, unsafe_min: 0.3}  # c\n"
+                     + MINIMAL + "series: {decay_mode: a, truncation: 7}\n",
+    "unknown-flow-section": MINIMAL + "extras: {colour: red}\n",
+}
+
+#: Section words, keys, values and line ends of the flow-section property:
+#: those of the layout, then those PyYAML reads otherwise or that lie
+#: outside it (reserved words, quotes, nested flows, other spacing).
+_FLOW_WORDS = ["pipeline", "withdrawals", "series", "safety", "extras",
+               "colour", "truncation", "a", "_"]
+_ODD_FLOW_WORDS = ["on", "no", "null", "true", "True", "'a'", "A"]
+_FLOW_VALUES = ["red", "alpha", "a", "_", "true", "false", "0", "-0", "1.",
+                "1.5e+3", "-2.5e-7"]
+_ODD_FLOW_VALUES = ["yes", "off", "null", "True", "~", ".inf", "1e+5", "012",
+                    "'a'", "{b: 1}", "[1]", "", "a b"]
+_FLOW_ENDS = ["", "", "", "  # c: {d}", "  "]
+_ODD_FLOW_ENDS = [" #c", "#c", "\n  truncation: 1", "\n- {rate: 1}", ","]
+
+
+def _odd(usual: list, odd: list):
+    """One of ``usual`` or, about one time in ten, one of ``odd``."""
+    return st.sampled_from(usual * (9 * len(odd) // len(usual) + 1) + odd)
+
+
+@st.composite
+def flow_section_texts(draw):
+    """Sections of one flow-mapping line each, perhaps around the block
+    pipeline section: known and unknown section words and keys, ints,
+    floats, words, booleans and reserved words, mostly joined by ``", "``."""
+    value = st.one_of(st.integers().map(str),
+                      st.floats(allow_infinity=False).map(repr),
+                      _odd(_FLOW_VALUES, _ODD_FLOW_VALUES))
+    pair = st.builds("{}: {}".format, _odd(_FLOW_WORDS, _ODD_FLOW_WORDS),
+                     value)
+    line = st.builds("{}: {{{}}}{}".format,
+                     _odd(_FLOW_WORDS, _ODD_FLOW_WORDS),
+                     st.builds(str.join, _odd([", "], [",", " , ", ",  "]),
+                               st.lists(pair, min_size=1, max_size=3)),
+                     _odd(_FLOW_ENDS, _ODD_FLOW_ENDS))
+    lines = draw(st.lists(line, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), MINIMAL[:-1])
+    return "\n".join(lines) + "\n"
+
+
 class TestLayoutReader:
     @pytest.mark.parametrize("name", ["reference", "readme", "docstring",
-                                      "dump"])
+                                      "dump", *FLOW_SECTIONS])
     def test_documented_layouts_are_read_directly(self, name, scenario,
                                                    scenario_text):
         text = {"reference": scenario_text,
                 "dump": dump_scenario(scenario)}.get(name)
-        text = text or LAYOUT_EXAMPLES[name]
+        text = text or LAYOUT_EXAMPLES.get(name) or FLOW_SECTIONS[name]
         document = scenario_module._read_layout(text)
         assert document is not None
         for loader in CODECS.values():
@@ -538,6 +669,21 @@ class TestLayoutReader:
         if document is not None:
             for loader in CODECS.values():
                 assert repr(document) == repr(yaml.load(text, Loader=loader))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(flow_section_texts())
+    def test_flow_sections_read_as_pyyaml_reads_them(self, text):
+        """A flow-mapping section is either left to PyYAML or read into
+        the very document that both codecs build."""
+        document = scenario_module._read_layout(text)
+        if document is not None:
+            for loader in CODECS.values():
+                assert repr(document) == repr(yaml.load(text, Loader=loader))
+
+    def test_unknown_flow_section_is_refused_by_its_path(self):
+        with pytest.raises(ValidationError,
+                           match=r"^scenario\.extras: unknown key$"):
+            load_scenario(FLOW_SECTIONS["unknown-flow-section"])
 
     def test_texts_off_the_layout_go_through_the_codec(self, scenario_text,
                                                        codec, monkeypatch):

@@ -258,3 +258,42 @@ class TestProfileSample:
             ProfileSample(-1.0, 10.0, 125000.0)
         with pytest.raises(OutOfDomain):
             ProfileSample(1000.0, -1.0, 125000.0)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("accelerated", [True, False])
+    def test_weights_are_made_once_per_power(self, accelerated):
+        opts = SeriesOptions(truncation_n=50,
+                             closed_form_acceleration=accelerated)
+        basis = series._basis([0.5, 100.0], 0.01, opts)
+        decay = np.exp(-((0.01 * basis.times)[:, None]
+                         * (basis.n * basis.n)))
+        theta = np.linspace(0.0, 2.0 * math.pi, 7)
+        first = series._mode_sum(theta, basis, opts, 2)
+        weights = basis.weights[2]
+        assert np.array_equal(weights, (decay if accelerated else 1.0 - decay)
+                              / basis.n**2)
+        assert np.array_equal(series._mode_sum(theta, basis, opts, 2), first)
+        assert basis.weights[2] is weights and set(basis.weights) == {2}
+
+    def test_t0_rows_only_where_a_time_is_0(self):
+        opts = SeriesOptions()
+        assert series._basis([50.0, 100.0], 0.01, opts).zero is None
+        assert series._basis([], 0.01, opts).zero is None
+        basis = series._basis([100.0, 0.0, -0.0], 0.01, opts)
+        assert basis.zero.tolist() == [False, True, True]
+        sums = series._mode_sum(np.array([1.0, 2.0]), basis, opts, 2)
+        assert sums[1:].tolist() == [[0.0, 0.0]] * 2
+
+    @pytest.mark.parametrize("times", [[1.0, -1.0], [math.nan], [math.inf],
+                                       [2.0, -math.inf]])
+    def test_the_first_time_outside_is_named(self, times):
+        bad = next(t for t in times if not 0.0 <= t < math.inf)
+        with pytest.raises(OutOfDomain, match=f"^time {bad:g} outside"):
+            series._basis(times, 0.01, SeriesOptions())
+
+    @pytest.mark.parametrize("x", [[5.0, -2.0], [math.nan], [30000.5]])
+    def test_the_first_position_outside_is_named(self, cfg, x):
+        bad = next(v for v in x if not 0.0 <= v <= 30000.0)
+        with pytest.raises(OutOfDomain, match=f"^position {bad:g} outside"):
+            series._positions(x, cfg)

@@ -17,9 +17,9 @@ from .core import (Band, DecayMode, DropClassification, GradientMode,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule,
                    classify_pressure_drop, derive_linearization)
 from .errors import (ConvergenceFailure, InfeasibleConstraint,
-                     InvalidParameter, MultipleExtrema,
-                     NegativeWithdrawalWarning, NoExtremum, NonFiniteResult,
-                     OutOfDomain, ParseError, RingflowError, ValidationError)
+                     InvalidParameter, NegativeWithdrawalWarning, NoExtremum,
+                     NonFiniteResult, OutOfDomain, ParseError, RingflowError,
+                     ValidationError)
 from .scenario import (DISCREPANCIES, ProfileTable, Scenario,
                        admissible_table, build_report, drawdown_table,
                        dump_scenario, emit, gradient_table, load_scenario)
@@ -72,7 +72,6 @@ __all__ = [
     "GradientMode",
     "InfeasibleConstraint",
     "InvalidParameter",
-    "MultipleExtrema",
     "NegativeWithdrawalWarning",
     "NoExtremum",
     "NonFiniteResult",

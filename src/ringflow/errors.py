@@ -17,18 +17,6 @@ class NoExtremum(RingflowError, ArithmeticError):
     """No pressure maximum exists for the requested field and time."""
 
 
-class MultipleExtrema(RingflowError, ArithmeticError):
-    """More than one gradient sign change was found.
-
-    Refined candidate positions are attached as ``candidates`` so callers
-    can disambiguate or report them.
-    """
-
-    def __init__(self, message: str, candidates=()):
-        super().__init__(message)
-        self.candidates = list(candidates)
-
-
 class InfeasibleConstraint(RingflowError, ValueError):
     """The pressure floor cannot be met by any admissible withdrawal."""
 

@@ -3,9 +3,11 @@
 The coupling point is the pressure maximum of the ring: the position where
 a new consumer can be attached with the least disturbance.  It is found by
 a grid scan of dP/dx and a bisection that reads the midpoints of four
-halvings in one field evaluation.  Because the pressure there is affine in
-the withdrawal total, the admissible withdrawal under an inlet-pressure
-floor has a closed-form inversion, which is cross-checked by bisection.
+halvings in one field evaluation; where the gradient falls through zero
+more than once, it is the crossing of highest pressure.  Because the
+pressure there is affine in the withdrawal total, the admissible
+withdrawal under an inlet-pressure floor has a closed-form inversion,
+which is cross-checked by bisection.
 The safety classification of a pressure drop lives in
 :mod:`ringflow.core`, which needs no numpy, and is re-exported here.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from . import series
 from .core import (Band, DropClassification, GradientMode, PipelineConfig,
                    SeriesOptions, WithdrawalSchedule, classify_pressure_drop)
-from .errors import (InfeasibleConstraint, InvalidParameter, MultipleExtrema,
+from .errors import (InfeasibleConstraint, InvalidParameter,
                      NegativeWithdrawalWarning, NoExtremum, OutOfDomain)
 from .series import DEFAULT_OPTIONS
 
@@ -100,13 +102,14 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
                         include_withdrawals: bool = False) -> CouplingPoint:
     """Locate the pressure maximum by a sign-change scan of dP/dx.
 
-    Scans x in [0, L] at ``grid_step``, both ring ends included, for a +
-    to - crossing, refines it by bisection to within 0.01 m, one field
-    evaluation per four halvings, and confirms concavity with a second
-    central difference.  Raises
+    Scans x in [0, L] at ``grid_step``, both ring ends included, for +
+    to - crossings, refines each by bisection to within 0.01 m, one field
+    evaluation per four halvings, and returns the one of highest pressure,
+    the first of equals.  One field evaluation reads the pressure at every
+    crossing and the second central difference that confirms the chosen
+    one's concavity.  Raises
     :class:`NoExtremum` when the gradient never changes sign (for instance
-    at t = 0) and :class:`MultipleExtrema`, with all refined candidates
-    attached, when more than one crossing exists.  A grid of more than
+    at t = 0) or the chosen crossing is not concave.  A grid of more than
     :data:`MAX_SCAN_STEPS` steps is refused before any field evaluation.
     """
     if t == 0.0:
@@ -138,17 +141,17 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     if not brackets:
         raise NoExtremum(f"no + to - gradient crossing on [0, L] at t = {t:g}")
     roots = [_bisect_root(grad, lo, hi) for lo, hi in brackets]
-    if len(roots) > 1:
-        raise MultipleExtrema(
-            f"{len(roots)} gradient crossings found at t = {t:g}", roots)
-
-    root = roots[0]
     h = cfg.length_m * CURVATURE_STEP_FRACTION
-    # Within h of a ring end the stencil moves inward to stay in [0, L].
-    centre = min(max(root, h), cfg.length_m - h)
-    stencil = series._positions((root, centre - h, centre, centre + h), cfg)
-    peak, left, middle, right = series._pressure_field(stencil, basis, sched,
-                                                       cfg, opts)[0]
+    stencils = []
+    for root in roots:
+        # Within h of a ring end the stencil moves inward to stay in [0, L].
+        centre = min(max(root, h), cfg.length_m - h)
+        stencils += (root, centre - h, centre, centre + h)
+    field = series._pressure_field(series._positions(stencils, cfg), basis,
+                                   sched, cfg, opts)[0]
+    best = int(field[::4].argmax())         # the highest root, first of equals
+    root = roots[best]
+    peak, left, middle, right = field[4 * best:4 * best + 4]
     if right - 2.0 * middle + left >= 0.0:
         raise NoExtremum(
             f"stationary point at {root:.2f} m failed the concavity check")

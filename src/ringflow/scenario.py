@@ -69,8 +69,8 @@ from operator import add
 
 from .core import (PipelineConfig, SafetyThresholds, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
-from .errors import (InvalidParameter, MultipleExtrema, NonFiniteResult,
-                     ParseError, ValidationError)
+from .errors import (InvalidParameter, NonFiniteResult, ParseError,
+                     ValidationError)
 
 #: Scenario texts ``load_scenario`` keeps (see the module docstring).
 _SCENARIO_CACHE = 256
@@ -789,30 +789,18 @@ def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
 
     The drawdown levels step up by 1 from the scheduled total, and the
     inlet floor defaults to 80 percent of nominal (the 20 percent drop
-    rule).  Where the base field has several + to - gradient crossings,
-    the coupling point is the one of highest pressure.
+    rule).  The coupling point is ``find_coupling_point``'s answer on the
+    base field: where the gradient falls through zero at several
+    positions, the crossing of highest pressure.
     """
     cfg = scenario.pipeline
     tap = scenario.tap_position()
     start = scenario.schedule.total()
     if p_min is None:
         p_min = 0.8 * cfg.nominal_pressure()
-    import numpy as np
-
     from .optimize import find_coupling_point
-    from .series import EMPTY_SCHEDULE, _pressure_field
-    try:
-        coupling = find_coupling_point(coupling_time_s, scenario.schedule,
-                                       cfg, scenario.series)
-    except MultipleExtrema as exc:
-        # The coupling point is the ring's pressure maximum: the highest
-        # crossing, the first of equals.
-        pressures = _pressure_field(exc.candidates, coupling_time_s,
-                                    EMPTY_SCHEDULE, cfg, scenario.series)[0]
-        best = int(np.argmax(pressures))
-        position, peak = exc.candidates[best], float(pressures[best])
-    else:
-        position, peak = coupling.position_m, coupling.pressure_pa
+    coupling = find_coupling_point(coupling_time_s, scenario.schedule, cfg,
+                                   scenario.series)
     return {
         "scenario": {
             "hash": scenario.scenario_hash(),
@@ -822,8 +810,8 @@ def build_report(scenario: Scenario, coupling_time_s: float = 100.0,
         },
         "coupling": {
             "time_s": _json_value(coupling_time_s),
-            "gradient_zero_m": _json_value(position),
-            "pressure_pa": _json_value(peak),
+            "gradient_zero_m": _json_value(coupling.position_m),
+            "pressure_pa": _json_value(coupling.pressure_pa),
             "configured_tap_m": _json_value(tap),
         },
         "tables": {

@@ -4,7 +4,9 @@
 before the midpoint tree: one ``grad`` call, and so one field evaluation,
 per halving.  ``ringflow.optimize._bisect_root`` must return the same
 float for every gradient and bracket, and ``find_coupling_point`` the same
-``CouplingPoint``.
+``CouplingPoint``.  ``crossings`` refines, with ``bisect_root``, every + to
+- crossing of the coupling-point scan, among which ``find_coupling_point``
+must return one of highest pressure.
 
 ``max_admissible_withdrawal`` is the admissible-withdrawal search as
 ringflow shipped it before the bisection tested one float per halving: its
@@ -19,11 +21,12 @@ import math
 
 import numpy as np
 
-from ringflow.core import PipelineConfig, SeriesOptions
+from ringflow.core import (GradientMode, PipelineConfig, SeriesOptions,
+                           WithdrawalSchedule)
 from ringflow.errors import InvalidParameter
 from ringflow.optimize import (POSITION_TOLERANCE_M, TIME_SAMPLES,
                                AdmissibleWithdrawal, _inlet_floor)
-from ringflow.series import DEFAULT_OPTIONS
+from ringflow.series import DEFAULT_OPTIONS, EMPTY_SCHEDULE, _gradient
 
 
 def bisect_root(grad, lo: float, hi: float) -> float:
@@ -38,6 +41,24 @@ def bisect_root(grad, lo: float, hi: float) -> float:
         else:
             return mid
     return 0.5 * (lo + hi)
+
+
+def crossings(t: float, schedule: WithdrawalSchedule, cfg: PipelineConfig,
+              opts: SeriesOptions = DEFAULT_OPTIONS, grid_step: float = 100.0,
+              include_withdrawals: bool = False) -> list:
+    """Every + to - crossing of dP/dx on the scan grid of
+    ``find_coupling_point``, each refined by ``bisect_root``."""
+    sched = schedule if include_withdrawals else EMPTY_SCHEDULE
+
+    def grad(x):
+        return _gradient(x, t, sched, cfg, opts, GradientMode.FULL)[0]
+
+    xs = np.arange(grid_step, cfg.length_m, grid_step)
+    xs = [0.0] + [float(x) for x in xs if x < cfg.length_m] + [cfg.length_m]
+    signed = [(x, v) for x, v in zip(xs, grad(xs)) if v != 0.0]
+    return [bisect_root(grad, a, b)
+            for (a, left), (b, right) in zip(signed, signed[1:])
+            if left > 0.0 > right]
 
 
 def max_admissible_withdrawal(horizon_s: float, p_min: float,

@@ -247,19 +247,19 @@ class TestReport:
         assert first == second
 
     def test_several_crossings(self, capsys, tmp_path, two_maxima_text):
-        # The report gives the higher maximum; node refuses to choose.
+        # node and the report give the same, higher maximum.
         path = tmp_path / "two-maxima.yaml"
         path.write_text(two_maxima_text)
         code, out, err = invoke(capsys, "report", "--scenario", str(path),
                                 "--time", "1.262725154",
                                 "--pmin", "106044.1626")
         assert code == 0 and err == ""
-        assert json.loads(out)["coupling"]["gradient_zero_m"] \
-            == pytest.approx(3844.95, abs=0.01)
+        position = json.loads(out)["coupling"]["gradient_zero_m"]
+        assert position == pytest.approx(3844.95, abs=0.01)
         code, out, err = invoke(capsys, "node", "--scenario", str(path),
-                                "--time", "1.262725154")
-        assert code == 3 and out == ""
-        assert json.loads(err)["error"] == "MultipleExtrema"
+                                "--time", "1.262725154", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["rows"][0]["x_new_m"] == position
 
 
 class TestNonFiniteJson:

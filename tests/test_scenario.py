@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
                       InfeasibleConstraint, InvalidParameter,
-                      MultipleExtrema, NonFiniteResult, OutOfDomain,
+                      NonFiniteResult, OutOfDomain,
                       ParseError, PipelineConfig, RingflowError,
                       SafetyThresholds, Scenario, SeriesOptions,
                       ValidationError, WithdrawalModel, WithdrawalSchedule,
@@ -971,13 +971,14 @@ class TestReport:
 
     def test_several_crossings_report_the_highest(self, two_maxima_text):
         scenario = load_scenario(two_maxima_text)
-        with pytest.raises(MultipleExtrema) as caught:
-            find_coupling_point(1.262725154, scenario.schedule,
-                                scenario.pipeline, scenario.series)
-        assert len(caught.value.candidates) == 2
+        point = find_coupling_point(1.262725154, scenario.schedule,
+                                    scenario.pipeline, scenario.series)
         report = build_report(scenario, coupling_time_s=1.262725154,
                               p_min=106044.1626)
         coupling = report["coupling"]
+        emitted = scenario_module._json_value
+        assert coupling["gradient_zero_m"] == emitted(point.position_m)
+        assert coupling["pressure_pa"] == emitted(point.pressure_pa)
         assert coupling["gradient_zero_m"] == pytest.approx(3844.95, abs=0.01)
         assert coupling["pressure_pa"] == 160486.0
         assert set(coupling) == {"time_s", "gradient_zero_m", "pressure_pa",

@@ -7,16 +7,15 @@ Usage::
 The scenario path may also come from the RINGFLOW_SCENARIO environment
 variable.  Numeric results are emitted as CSV (default) or JSON via
 --format; CSV lines starting with '#' carry key=value metadata.  Exit
-codes: 0 success, 1 usage or parse problem, 2 validation failure,
-3 numerical failure (no extremum, solver residual, tolerance exceeded, a
-non-finite number in the output) or any other, unforeseen error.
-Errors print one JSON object per line on standard error.
+codes: 0 success, 1 usage or scenario parse error (a text off the layout
+the README documents), 2 validation failure, 3 numerical failure (no
+extremum, solver residual, tolerance exceeded, a non-finite number in the
+output) or any other, unforeseen error.  Errors print one JSON object per
+line on standard error.
 
 ``classify``, ``echo-config`` and every query refused before its scenario
 is valid run without numpy: a handler imports its numeric module only
-once its scenario has loaded.  A scenario file in the layout the README
-documents is read without PyYAML, with identical results; PyYAML loads
-only for another valid YAML text and for ``echo-config``.
+once its scenario has loaded.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Scenario files, table generation, and report assembly.
 
-A scenario is a YAML document with four top-level sections::
+A scenario is a document in a subset of YAML with four top-level sections::
 
     pipeline:                       # required
       length_m: 30000
@@ -31,23 +31,23 @@ JSON cell is ``repr`` of its ``"%.6g"`` text's float, read off that text:
 ``.0`` is appended to a text with neither point nor exponent, and only
 exponents ``e+06`` to ``e+15`` and ``e-308`` or below take ``repr``.
 
-A ``str`` text in the layout above is read directly, into the document
-PyYAML would build: ``section:`` lines (or ``withdrawals: []``), entries
-indented two spaces, withdrawals as ``- {key: value, ...}`` or as block
-items indented zero or two spaces, a section as one flow mapping
-(``series: {truncation: 50}``, pairs parted by ``", "``); ``[a-z_]`` keys;
-plain ints, floats with a point (any exponent signed), ``true``, ``false``
-and other words; printable ASCII, LF line ends, blank lines and ``#``
-comments.  Other texts (an empty ``{}``, a nested or quoted value) go
-through PyYAML, imported only then: libyaml's ``CSafeLoader`` where PyYAML
-has it, else the pure-Python ``SafeLoader``; both type scalars alike, and
-only :class:`ParseError` texts depend on the codec.  ``dump_scenario``
-writes the layout as PyYAML's safe dumper does: block withdrawal items at
-column 0, floats as ``repr`` with ``.0`` before a bare ``e``.
+A scenario ``str`` in the layout above is read directly into the
+document PyYAML's safe loader would build: ``section:`` lines (or
+``withdrawals: []``), entries indented two spaces, withdrawals as
+``- {key: value, ...}`` or as block items indented zero or two spaces, a
+section as one flow mapping (``series: {truncation: 50}``, pairs parted
+by ``", "``); ``[a-z_]`` keys; plain ints, floats with a point (any
+exponent signed), ``.inf``, ``-.inf``, ``.nan``, ``true``, ``false`` and
+other words; printable ASCII, LF line ends, blank lines and ``#``
+comments.  Any other text, valid YAML or not (an empty ``{}``, a nested
+or quoted value), raises :class:`ParseError` naming its first line off
+the layout.  ``dump_scenario`` writes the layout as PyYAML's safe dumper
+does: block withdrawal items at column 0, floats as ``repr`` with ``.0``
+before a bare ``e``.
 
-``load_scenario`` keeps the last 256 ``str`` texts it loaded, keyed with the
-codec: an equal text returns the same shared, immutable ``Scenario`` (and
-so its hash is computed once).  A text that fails is never kept.
+``load_scenario`` keeps the last 256 texts it loaded: an equal text
+returns the same shared, immutable ``Scenario`` (and so its hash is
+computed once).  A text that fails is never kept.
 
 Loading, dumping, hashing and emission need no numpy.  The tables and the
 report import numpy and the numeric modules when called, so a process that
@@ -118,24 +118,20 @@ _SECTIONS = {
 # loading
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _codec():
-    """PyYAML's loader, libyaml's where available; imports PyYAML."""
-    import yaml
-    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 #: ``key: value``, the value typed by the group it sets as PyYAML's
 #: resolver types it: an int, a float or a word.  ``re`` compiles and
 #: caches both patterns on first use.
 _PAIR = (r"([a-z_]+): +(?:(-?(?:0|[1-9][0-9]*))"
-         r"|(-?[0-9]+\.[0-9]*(?:e[-+][0-9]+)?)|([a-z_]+))")
+         r"|(-?[0-9]+\.[0-9]*(?:e[-+][0-9]+)?|-?\.inf|\.nan)|([a-z_]+))")
 #: A line: a section header, or indentation and item dash, then a pair or a
 #: flow mapping; or a header, `` []`` for an empty list; then perhaps a
 #: comment.  Blank and comment lines set no group, other lines the last.
 _LINE = (rf"(?m)^(?:(?:([a-z_]+): (?=\{{)|( *)(- )?)(?:{_PAIR}|\{{(.+)\}})"
          r"|([a-z_]+):( \[\])?)(?: +#[ -~]*| *)$|^ *(?:#[ -~]*)?$|^(.+)$")
 _BOOLEANS = {"true": True, "false": False}
+#: The non-finite floats of the number group, which ``float`` spells
+#: without the point.
+_NON_FINITE = {".inf": math.inf, "-.inf": -math.inf, ".nan": math.nan}
 #: Words the resolver reads as a boolean or as null.
 _RESERVED = frozenset({"true", "false", "yes", "no", "on", "off", "null"})
 
@@ -144,27 +140,30 @@ def _pair(key: str, integer: str, number: str, word: str) -> tuple:
     """One matched pair, typed; a ValueError for a reserved word."""
     if key in _RESERVED or word in _RESERVED and word not in _BOOLEANS:
         raise ValueError(key)
-    return key, (int(integer) if integer else float(number) if number
+    return key, (int(integer) if integer
+                 else float(_NON_FINITE.get(number, number)) if number
                  else _BOOLEANS.get(word, word))
 
 
-def _read_layout(text: str) -> dict | None:
+def _read_layout(text: str) -> dict:
     """The document ``yaml.load`` builds from ``text`` in the layout the
-    module docstring names; None for any other text."""
+    module docstring names; a ParseError naming the first line off it."""
     document, section, fill, items, indent = {}, None, {}, None, None
+    # One match per line, a blank line included, so the count is its number.
+    lines = enumerate(re.findall(_LINE, text), 1)
     try:
-        for (whole, spaces, dash, key, integer, number, word, flow, header,
-             empty, other) in re.findall(_LINE, text):
+        for line, (whole, spaces, dash, key, integer, number, word, flow,
+                   header, empty, other) in lines:
             if header and header not in _RESERVED:
                 section, fill, items = header, {}, None
                 document[section] = [] if empty else None
                 continue
             if other or header or whole in _RESERVED:   # off the layout
-                return None
+                break
             if flow:
                 matches = [re.fullmatch(_PAIR, p) for p in flow.split(", ")]
                 if not all(matches):
-                    return None
+                    break
                 pairs = dict(_pair(*match.groups()) for match in matches)
             elif key:
                 pairs = dict([_pair(key, integer, number, word)])
@@ -186,10 +185,13 @@ def _read_layout(text: str) -> dict | None:
             elif not dash and not flow and depth in fill:
                 fill[depth].update(pairs)
             else:
-                return None
+                break
+        else:
+            return document
     except ValueError:          # a reserved word, or too many digits for int()
-        return None
-    return document if document and None not in document.values() else None
+        pass
+    raise ParseError(f"line {line} is off the scenario layout: "
+                     + repr(text.split("\n")[line - 1]))
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -323,28 +325,15 @@ class Scenario:
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Up to 256 ``str`` texts are kept, keyed with the codec: an equal text
-    returns the same shared, immutable ``Scenario``.  A failure is never
-    kept; bytes and streams are parsed on every call.
+    Up to 256 texts are kept: an equal text returns the same shared,
+    immutable ``Scenario``.  A failure is never kept.  A ``bytes`` text
+    raises TypeError.
     """
-    if isinstance(text, str):
-        return _load_cached(text, _codec)
-    return _load(text, _codec)
+    return _load_cached(text)
 
 
-def _load(text, codec) -> Scenario:
-    document = _read_layout(text) if isinstance(text, str) else None
-    if document is None:
-        import yaml
-        # A tagged scalar its constructor rejects (a 13th month) raises a
-        # ValueError, not a YAMLError.
-        try:
-            document = yaml.load(text, Loader=codec())
-        except (yaml.YAMLError, ValueError) as exc:
-            raise ParseError(f"malformed scenario document: {exc}") from exc
-    if document is None:
-        raise ValidationError("top level: document is empty")
-    document = _require_mapping(document, "top level")
+def _load(text: str) -> Scenario:
+    document = _read_layout(text)
     _reject_unknown(document, _SECTIONS, "scenario")
 
     if "pipeline" not in document:

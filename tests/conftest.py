@@ -1,10 +1,10 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from ringflow import (PipelineConfig, SeriesOptions, WithdrawalSchedule,
                       load_scenario)
-from yaml_codecs import CODECS, scenario_codec
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
 
@@ -62,15 +62,8 @@ series:
 """
 
 
-@pytest.fixture(scope="class")
-def pure_python_codec():
-    """Scenarios read and written with PyYAML's pure-Python codec."""
-    with scenario_codec("pure-python"):
-        yield
-
-
-@pytest.fixture(params=sorted(CODECS))
-def codec(request):
-    """Each YAML codec in turn; the value is its name."""
-    with scenario_codec(request.param):
-        yield request.param
+def pyyaml_document(text: str):
+    """The document PyYAML's safe loader builds from ``text``, ``{}`` for an
+    empty one: the oracle the scenario reader is checked against."""
+    document = yaml.load(text, Loader=yaml.SafeLoader)
+    return {} if document is None else document

@@ -285,24 +285,27 @@ class TestEchoConfig:
         assert load_scenario(out).normalized() == scenario.normalized()
 
 
-class TestScenarioCodecs:
-    def test_echo_config_bytes(self, capsys, codec):
+class TestScenarioFiles:
+    def test_echo_config_bytes(self, capsys):
         code, out, err = invoke(capsys, "echo-config", "--scenario", REF)
         assert code == 0 and err == ""
         assert out == ECHO_CONFIG
 
-    def test_parse_error(self, capsys, codec, tmp_path):
+    def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("pipeline: [unclosed")
         code, out, err = invoke(capsys, "echo-config", "--scenario",
                                 str(path))
         assert code == 1 and out == ""
-        assert json.loads(err)["error"] == "ParseError"
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": "line 1 is off the scenario layout: "
+                       "'pipeline: [unclosed'"}
 
-    def test_validation_error(self, capsys, codec, tmp_path):
+    def test_validation_error(self, capsys, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(SCENARIO_PATH.read_text().replace("rate: 11",
-                                                          "rate: yes"))
+                                                          "rate: true"))
         code, out, err = invoke(capsys, "echo-config", "--scenario",
                                 str(path))
         assert code == 2 and out == ""
@@ -311,7 +314,7 @@ class TestScenarioCodecs:
             "message": "withdrawals[0].rate: expected a number"}
 
 
-#: echo-config on scenarios/reference.yaml, whichever the YAML codec.
+#: echo-config on scenarios/reference.yaml.
 ECHO_CONFIG = """\
 pipeline:
   length_m: 30000.0
@@ -543,7 +546,7 @@ class TestPlumbing:
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "x1", "", "1,,2")
 #: Scenario values: YAML spellings of the same, and a list and a mapping.
 FUZZ_YAML = (".nan", ".inf", "-.inf", "0", "-1", "1.0e+308", "1.0e-200",
-             "abc", "nan", "[1]", "{}", "")
+             "abc", "nan", "[1]", "{}", "", "yes", "'1'", "&a 1")
 
 #: Flags per subcommand with in-range values; None marks a switch.  The
 #: lists stay small: no drawn value asks for work near a resource cap.
@@ -654,10 +657,10 @@ def test_every_field_value_keeps_the_error_contract(tmp_path, field, value):
     path = tmp_path / "scenario.yaml"
     path.write_text(text, encoding="utf-8")
     try:
-        scenario_module._load(text, scenario_module._codec)
-        loads = True
-    except errors.RingflowError:
-        loads = False
+        scenario_module._load(text)
+        loads, refused = True, 0
+    except errors.RingflowError as exc:
+        loads, refused = False, 1 if isinstance(exc, errors.ParseError) else 2
     runs = []
     for _ in range(2):
         hits = scenario_module._load_cached.cache_info().hits
@@ -677,4 +680,4 @@ def test_every_field_value_keeps_the_error_contract(tmp_path, field, value):
         assert json.loads(line)["error"] in DOCUMENTED_ERRORS
         assert out == ""
     if not loads:
-        assert code == 2
+        assert code == refused

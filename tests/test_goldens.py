@@ -3,12 +3,10 @@
 ``bench/golden`` holds the outputs of ``report`` and of the README's
 example commands on ``scenarios/reference.yaml``.  This runs the
 benchmark's own read-only check, so a changed output byte fails the test
-suite and not only the benchmark gate, with either YAML codec.
+suite and not only the benchmark gate.
 """
 
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,8 +17,3 @@ def test_bench_goldens_are_reproduced(tmp_path, monkeypatch):
 
     failed, _ = checks.check_goldens(ROOT, tmp_path)
     assert failed == []
-
-
-@pytest.mark.usefixtures("pure_python_codec")
-def test_bench_goldens_with_pure_python_codec(tmp_path, monkeypatch):
-    test_bench_goldens_are_reproduced(tmp_path, monkeypatch)

@@ -1,6 +1,8 @@
 """What a process imports: the numpy-free front door and the lazy exports
 of the package."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 import ringflow
 import ringflow.optimize
+from ringflow.cli import run
 
 REF = str(Path(__file__).resolve().parent.parent / "scenarios"
           / "reference.yaml")
@@ -61,13 +64,16 @@ _FRONT_DOOR = textwrap.dedent("""
     print(json.dumps(results))
 """)
 
+#: Makes ``import yaml`` fail in the process it starts.
+_NO_YAML = "import sys; sys.modules['yaml'] = None\n"
 
-def _run_in_fresh_process(queries):
+
+def _run_in_fresh_process(queries, prelude=""):
     src = str(Path(ringflow.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FRONT_DOOR,
+    proc = subprocess.run([sys.executable, "-c", prelude + _FRONT_DOOR,
                            json.dumps(queries)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -90,7 +96,7 @@ def test_front_door_leaves_numpy_unloaded(tmp_path):
           "--current", "100000"], 0),
         (["echo-config", "--scenario", REF], 0),
         (["node", "--scenario", str(malformed), "--time", "100"], 1),
-        (["node", "--scenario", str(unknown), "--time", "100"], 2),
+        (["node", "--scenario", str(unknown), "--time", "100"], 1),
         (["pressure", "--scenario", str(negative), "--x", "100",
           "--time", "50"], 2),
         (["classify", "--nominal", "0", "--current", "100"], 2),
@@ -109,22 +115,42 @@ def test_front_door_leaves_numpy_unloaded(tmp_path):
 
 
 def test_scenario_layout_leaves_yaml_unloaded(tmp_path):
-    """Queries on a scenario of the documented layout, those without a
-    scenario and ``echo-config`` never import PyYAML; other YAML does."""
+    """With PyYAML unimportable, every subcommand on the reference scenario,
+    and ``node`` on a malformed and on an unknown-key text, exits and
+    writes as it does in this process."""
+    reference = Path(REF).read_text(encoding="utf-8")
     malformed = tmp_path / "malformed.yaml"
-    malformed.write_text("pipeline: [unclosed\n", encoding="utf-8")
-    yaml_free = [
-        ["classify", "--nominal", "125000", "--current", "100000"],
-        ["pressure", "--scenario", REF, "--x", "100", "--time", "50"],
-        ["node", "--scenario", REF, "--time", "100"],
-        ["echo-config", "--scenario", REF],
+    malformed.write_text(reference + "pipeline: [unclosed\n",
+                         encoding="utf-8")
+    unknown = tmp_path / "unknown.yaml"
+    unknown.write_text(reference + "extras: {colour: red}\n",
+                       encoding="utf-8")
+    scenario = ["--scenario", REF]
+    queries = [
+        ["node", *scenario, "--time", "100"],
+        ["pressure", *scenario, "--x", "100", "--time", "50"],
+        ["gradient-table", *scenario, "--times", "100,200", "--dx", "1000"],
+        ["drawdown", *scenario, "--levels", "11,12", "--times", "0,300",
+         "--positions", "0", "--format", "json"],
+        ["max-draw", *scenario, "--pmin", "100000", "--horizon", "300"],
+        ["classify", *scenario, "--nominal", "125000", "--current", "100000"],
+        ["validate", *scenario, "--cells", "200", "--dt", "0.5",
+         "--times", "10"],
+        ["report", *scenario],
+        ["echo-config", *scenario],
+        ["node", "--scenario", str(malformed), "--time", "100"],
+        ["node", "--scenario", str(unknown), "--time", "100"],
     ]
-    results = _run_in_fresh_process(
-        yaml_free + [["node", "--scenario", str(malformed), "--time", "100"]])
-    assert [(code, yaml_loaded) for code, _, _, _, yaml_loaded in results] \
-        == [(0, False)] * 4 + [(1, True)]
+    results = _run_in_fresh_process(queries, _NO_YAML)
+    for argv, (code, _, out, err, _) in zip(queries, results):
+        here, there = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(here), \
+                contextlib.redirect_stderr(there):
+            assert run(argv) == code, (argv, err)
+        assert (out, err) == (here.getvalue(), there.getvalue()), argv
+    assert [code for code, *_ in results] == [0] * 9 + [1, 2]
     assert results[1][2] == PRESSURE_TEXT
-    assert results[3][2] == ECHO_CONFIG_TEXT
+    assert results[8][2] == ECHO_CONFIG_TEXT
 
 
 def test_flow_sections_leave_yaml_unloaded(tmp_path):

@@ -24,7 +24,7 @@ from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
 import ringflow.scenario as scenario_module
 import ringflow.series as series_module
 from ringflow.scenario import ProfileTable
-from yaml_codecs import CODECS, scenario_codec
+from conftest import pyyaml_document
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "discrepancies.json"
 
@@ -66,14 +66,13 @@ class TestLoadScenario:
             load_scenario("pipeline: [unclosed")
 
     def test_unconstructible_scalar(self):
-        with pytest.raises(ParseError, match="month must be in 1..12"):
+        with pytest.raises(ParseError, match="^line 1 is off the scenario "
+                           "layout: 'pipeline: !!timestamp 2020-13-45'$"):
             load_scenario("pipeline: !!timestamp 2020-13-45\n")
 
     def test_non_mapping_document(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError, match="^line 1 "):
             load_scenario("- just\n- a\n- list\n")
-        with pytest.raises(ValidationError):
-            load_scenario("")
 
     def test_missing_pipeline(self):
         with pytest.raises(ValidationError, match="pipeline"):
@@ -86,7 +85,7 @@ class TestLoadScenario:
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValidationError, match="pipelines"):
-            load_scenario(MINIMAL + "pipelines: {}\n")
+            load_scenario(MINIMAL + "pipelines: {a: 1}\n")
 
     def test_missing_required_number(self):
         broken = MINIMAL.replace("  base_flow: 10\n", "")
@@ -139,7 +138,7 @@ class TestLoadScenario:
     def test_withdrawals_must_be_a_list(self):
         with pytest.raises(ValidationError,
                            match=r"^withdrawals: expected a list$"):
-            load_scenario(MINIMAL + "withdrawals: {}\n")
+            load_scenario(MINIMAL + "withdrawals: {position_m: 1, rate: 2}\n")
 
     @pytest.mark.parametrize("speed", ["1.0e+308", "1.0e+160", "1.0e-200"])
     def test_alpha_that_cannot_be_formed(self, speed):
@@ -333,39 +332,21 @@ class TestFormat:
                 yaml.safe_dump(FULL))
 
 
-@pytest.mark.usefixtures("pure_python_codec")
-class TestLoadScenarioPurePython(TestLoadScenario):
-    """The loading tests again, on a PyYAML without libyaml."""
-
-
-@pytest.mark.usefixtures("pure_python_codec")
-class TestFormatPurePython(TestFormat):
-    """The format tests again, on a PyYAML without libyaml.  The property
-    load(dump(s)) == s runs under both codecs in the test below."""
-
-    test_load_inverts_dump = None       # one Hypothesis test, one class
-
-
-#: PyYAML's safe dumper of each codec in ``CODECS``: the reference for
-#: ``dump_scenario``, which writes without PyYAML.
-DUMPERS = {"default": getattr(yaml, "CSafeDumper", yaml.SafeDumper),
-           "pure-python": yaml.SafeDumper}
-
-
-def yaml_dump(scenario, dumper) -> str:
-    return yaml.dump(scenario.normalized(), Dumper=dumper, sort_keys=False,
-                     default_flow_style=False)
+def yaml_dump(scenario) -> str:
+    """The text PyYAML's safe dumper writes: the reference for
+    ``dump_scenario``, which writes without PyYAML."""
+    return yaml.safe_dump(scenario.normalized(), sort_keys=False,
+                          default_flow_style=False)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(scenarios())
 def test_dump_is_pyyaml_text_in_the_layout(scenario):
     text = dump_scenario(scenario)
-    assert scenario_module._read_layout(text) is not None
-    for name in CODECS:
-        assert text == yaml_dump(scenario, DUMPERS[name])
-        with scenario_codec(name):
-            assert load_scenario(text) == scenario
+    assert text == yaml_dump(scenario)
+    assert repr(scenario_module._read_layout(text)) \
+        == repr(pyyaml_document(text))
+    assert load_scenario(text) == scenario
 
 
 @pytest.mark.parametrize("rate", [
@@ -376,8 +357,7 @@ def test_dump_writes_floats_as_pyyaml_does(scenario, rate):
     infinite rate, which ``WithdrawalPoint`` takes, is written ``.inf``."""
     point = dataclasses.replace(scenario.schedule.points[0], rate=rate)
     odd = dataclasses.replace(scenario, schedule=WithdrawalSchedule((point,)))
-    for dumper in DUMPERS.values():
-        assert dump_scenario(odd) == yaml_dump(odd, dumper)
+    assert dump_scenario(odd) == yaml_dump(odd)
 
 
 @st.composite
@@ -446,21 +426,10 @@ class TestScenarioCache:
         info = empty_cache()
         assert info.currsize == 0 and info.hits == 0 and info.misses == 3
 
-    def test_each_codec_parses_its_own(self, scenario_text, empty_cache):
-        default = load_scenario(scenario_text)
-        with scenario_codec("pure-python"):
-            pure = load_scenario(scenario_text)
-            assert load_scenario(scenario_text) is pure
-        assert pure == default and pure is not default
-        info = empty_cache()
-        assert info.misses == 2 and info.hits == 1 and info.currsize == 2
-
     def test_bytes_load_uncached(self, scenario_text, empty_cache):
-        loaded = load_scenario(scenario_text.encode("utf-8"))
+        with pytest.raises(TypeError):
+            load_scenario(scenario_text.encode("utf-8"))
         assert empty_cache().currsize == 0
-        assert loaded == load_scenario(scenario_text)
-        assert load_scenario(scenario_text.encode("utf-8")) is not loaded
-        assert empty_cache().currsize == 1
 
     def test_bounded(self, scenario_text, empty_cache):
         texts = [scenario_text + f"# {i}\n" for i in range(300)]
@@ -485,7 +454,7 @@ LAYOUT_EXAMPLES = {
 }
 
 #: Texts PyYAML reads otherwise, or that lie outside the layout; the reader
-#: leaves each to PyYAML.
+#: refuses each.
 OFF_LAYOUT = {
     "yes-value": MINIMAL + "series:\n  closed_form_acceleration: yes\n",
     "off-value": MINIMAL + "series:\n  closed_form_acceleration: off\n",
@@ -502,14 +471,13 @@ OFF_LAYOUT = {
     "plus-sign": MINIMAL.replace("30000", "+30000"),
     "octal": MINIMAL.replace("30000", "030000"),
     "underscore": MINIMAL.replace("30000", "30_000"),
-    "inf": MINIMAL.replace("10\n", ".inf\n"),
+    "plus-inf": MINIMAL.replace("10\n", "+.inf\n"),
+    "minus-nan": MINIMAL.replace("10\n", "-.nan\n"),
+    "title-inf": MINIMAL.replace("10\n", ".Inf\n"),
     "upper-case": MINIMAL.replace("10\n", "1.0E+1\n"),
     "true-title": MINIMAL + "series:\n  closed_form_acceleration: True\n",
     "unsigned-exponent": MINIMAL.replace("30000", "3.0e4"),
     "no-point": MINIMAL.replace("30000", "3e+4"),
-    "empty": "",
-    "comment-only": "# nothing\n\n",
-    "empty-section": MINIMAL + "series:\n",
     "empty-flow": MINIMAL + "withdrawals:\n- {}\n",
     "long-digits": MINIMAL.replace("30000", "3" * 5000),
     "crlf": MINIMAL.replace("\n", "\r\n"),
@@ -527,6 +495,28 @@ OFF_LAYOUT = {
     "mixed-items": MINIMAL + "withdrawals:\n  - {rate: 1}\n- {rate: 2}\n",
     "flow-then-block": MINIMAL + "withdrawals:\n- {rate: 1}\n  position_m: 2\n",
     "hash-in-value": MINIMAL.replace("10\n", "10#x\n"),
+    "top-level-pair": MINIMAL + "extra: 1\n",
+    "empty-value": MINIMAL.replace("10\n", "\n"),
+    "flow-list": MINIMAL.replace("10\n", "[1]\n"),
+}
+
+#: Texts the reader reads, though no scenario loads from them: a section
+#: with no entries, a non-finite number, no section at all; each with the
+#: validation error its document gets.
+UNLOADABLE = {
+    "empty": ("", "pipeline: missing required section"),
+    "comment-only": ("# nothing\n\n", "pipeline: missing required section"),
+    "empty-pipeline": ("pipeline:\n", "pipeline: expected a mapping"),
+    "empty-section": (MINIMAL + "series:\n", "series: expected a mapping"),
+    "empty-withdrawals": (MINIMAL + "withdrawals:\n",
+                          "withdrawals: expected a list"),
+    "inf": (MINIMAL.replace("10\n", ".inf\n"),
+            "pipeline.base_flow: expected a finite number"),
+    "nan": (MINIMAL.replace("30000", ".nan"),
+            "pipeline.length_m: expected a finite number"),
+    "minus-inf-rate": (MINIMAL + "withdrawals:\n- {position_m: 1, "
+                       "rate: -.inf}\n",
+                       "withdrawals[0].rate: expected a finite number"),
 }
 
 #: Keys and scalars of the layout; keys and scalars PyYAML reads otherwise
@@ -643,6 +633,20 @@ def flow_section_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def read_or_refuse(text: str):
+    """The reader's document, or None where it refuses ``text``.  A refusal
+    names a line of the text, and the lines before it read."""
+    try:
+        return scenario_module._read_layout(text)
+    except ParseError as exc:
+        number, line = re.fullmatch(r"line (\d+) is off the scenario "
+                                    r"layout: (.*)", str(exc)).groups()
+        lines = text.split("\n")
+        assert line == repr(lines[int(number) - 1])
+        scenario_module._read_layout("\n".join(lines[:int(number) - 1]))
+        return None
+
+
 class TestLayoutReader:
     @pytest.mark.parametrize("name", ["reference", "readme", "docstring",
                                       "dump", *FLOW_SECTIONS])
@@ -652,51 +656,68 @@ class TestLayoutReader:
                 "dump": dump_scenario(scenario)}.get(name)
         text = text or LAYOUT_EXAMPLES.get(name) or FLOW_SECTIONS[name]
         document = scenario_module._read_layout(text)
-        assert document is not None
-        for loader in CODECS.values():
-            assert repr(document) == repr(yaml.load(text, Loader=loader))
+        assert repr(document) == repr(pyyaml_document(text))
 
     @pytest.mark.parametrize("name", OFF_LAYOUT)
     def test_other_texts_are_left_to_pyyaml(self, name):
-        assert scenario_module._read_layout(OFF_LAYOUT[name]) is None
+        """The texts that once went to PyYAML: the reader refuses each,
+        naming its line, and so does ``load_scenario`` (exit 1)."""
+        assert read_or_refuse(OFF_LAYOUT[name]) is None
+        with pytest.raises(ParseError):
+            load_scenario(OFF_LAYOUT[name])
+
+    @pytest.mark.parametrize("name", UNLOADABLE)
+    def test_documents_no_scenario_loads_from(self, name):
+        """Sections with no entries and non-finite numbers are read as
+        PyYAML reads them, then refused by validation (exit 2)."""
+        text, message = UNLOADABLE[name]
+        assert repr(scenario_module._read_layout(text)) \
+            == repr(pyyaml_document(text))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_scenario(text)
+
+    def test_refusal_names_the_benchmark_malformed_line(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "bench"))
+        from inputs import query_inputs
+        inputs = query_inputs(1, 0, True)
+        query, = (q for q in inputs.census if q.tag == "error:malformed-yaml")
+        text = inputs.scenarios[query.scenario]
+        number = text.count("\n")
+        assert text.split("\n")[number - 1] == "pipeline: [unclosed"
+        with pytest.raises(ParseError, match=f"^line {number} is off the "
+                           "scenario layout: 'pipeline: \\[unclosed'$"):
+            load_scenario(text)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(layout_texts())
     def test_reader_agrees_with_pyyaml(self, text):
-        """Each text is either left to PyYAML or read into the very
-        document, value and type alike, that both codecs build."""
-        document = scenario_module._read_layout(text)
+        """Each text is either refused or read into the very document,
+        value and type alike, that PyYAML builds."""
+        document = read_or_refuse(text)
         if document is not None:
-            for loader in CODECS.values():
-                assert repr(document) == repr(yaml.load(text, Loader=loader))
+            assert repr(document) == repr(pyyaml_document(text))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(flow_section_texts())
     def test_flow_sections_read_as_pyyaml_reads_them(self, text):
-        """A flow-mapping section is either left to PyYAML or read into
-        the very document that both codecs build."""
-        document = scenario_module._read_layout(text)
+        """A flow-mapping section is either refused or read into the very
+        document that PyYAML builds."""
+        document = read_or_refuse(text)
         if document is not None:
-            for loader in CODECS.values():
-                assert repr(document) == repr(yaml.load(text, Loader=loader))
+            assert repr(document) == repr(pyyaml_document(text))
 
     def test_unknown_flow_section_is_refused_by_its_path(self):
         with pytest.raises(ValidationError,
                            match=r"^scenario\.extras: unknown key$"):
             load_scenario(FLOW_SECTIONS["unknown-flow-section"])
 
-    def test_texts_off_the_layout_go_through_the_codec(self, scenario_text,
-                                                       codec, monkeypatch):
-        read = []
-        accessor = scenario_module._codec
-        monkeypatch.setattr(scenario_module, "_codec",
-                            lambda: read.append(accessor()) or read[-1])
+    def test_texts_off_the_layout_are_refused(self, scenario_text):
         assert load_scenario(scenario_text + "# direct\n") \
             == load_scenario(scenario_text)
-        assert read == []
         quoted = scenario_text.replace("rate:", "'rate':") + "# quoted\n"
-        assert load_scenario(quoted) == load_scenario(scenario_text)
-        assert read == [CODECS[codec]]
+        with pytest.raises(ParseError, match="^line 10 .*\"    'rate': 11\"$"):
+            load_scenario(quoted)
 
 
 class TestGradientTable:

@@ -8,10 +8,11 @@ The scenario path may also come from the RINGFLOW_SCENARIO environment
 variable.  Numeric results are emitted as CSV (default) or JSON via
 --format; CSV lines starting with '#' carry key=value metadata.  Exit
 codes: 0 success, 1 usage or scenario parse error (a text off the layout
-the README documents), 2 validation failure, 3 numerical failure (no
-extremum, solver residual, tolerance exceeded, a non-finite number in the
-output) or any other, unforeseen error.  Errors print one JSON object per
-line on standard error.
+the README documents, a file that is not UTF-8 or holds more than 2**20
+characters), 2 validation failure, 3 numerical failure (no extremum,
+solver residual, tolerance exceeded, a non-finite number in the output) or
+any other, unforeseen error.  Errors print one JSON object per line on
+standard error.
 
 ``classify``, ``echo-config`` and every query refused before its scenario
 is valid run without numpy: a handler imports its numeric module only
@@ -41,6 +42,10 @@ VALIDATE_L2_LIMIT = 0.01
 VALIDATE_MEAN_LIMIT = 0.001
 
 SCENARIO_ENV = "RINGFLOW_SCENARIO"
+
+#: Most characters a scenario file may hold; a longer file is refused
+#: before the rest of it is read.
+_MAX_SCENARIO_CHARS = 2**20
 
 
 class UsageError(RingflowError):
@@ -177,9 +182,15 @@ def _load(ns) -> Scenario:
                          f"{SCENARIO_ENV}")
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(_MAX_SCENARIO_CHARS + 1)
     except OSError as exc:
         raise UsageError(f"cannot read scenario {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario {path!r} is not UTF-8 text: "
+                         f"{exc.reason}") from exc
+    if len(text) > _MAX_SCENARIO_CHARS:
+        raise ParseError(f"scenario {path!r} holds more than "
+                         f"{_MAX_SCENARIO_CHARS} characters")
     return load_scenario(text)
 
 

@@ -21,12 +21,14 @@ A scenario is a document in a subset of YAML with four top-level sections::
       permissible_max: 0.20
       unsafe_min: 0.25
 
-The keys, their order, types and defaults come from one table,
-``_SECTIONS``, which ``load_scenario`` and ``Scenario.normalized`` (and so
-``dump_scenario`` and ``scenario_hash``) read.  Unknown keys are rejected
-with the offending dotted path.  Emitted tables are deterministic (6
-significant digits, '.' decimal separator, LF line endings) and embed the
-scenario hash plus the series options so results stay attributable.  A
+The keys, their order, types and defaults are read off the fields of each
+section's dataclass into one table, ``_SECTIONS``, which ``load_scenario``
+and ``Scenario.normalized`` (and so ``dump_scenario`` and
+``scenario_hash``) read; only ``linearization_a_per_s`` and ``truncation``
+differ from their field names.  Unknown keys are rejected with the
+offending dotted path.  Emitted tables are deterministic (6 significant
+digits, '.' decimal separator, LF line endings) and embed the scenario
+hash plus the series options so results stay attributable.  A
 JSON cell is ``repr`` of its ``"%.6g"`` text's float, read off that text:
 ``.0`` is appended to a text with neither point nor exponent, and only
 exponents ``e+06`` to ``e+15`` and ``e-308`` or below take ``repr``.
@@ -83,35 +85,19 @@ MAX_POSITIONS = 10**5
 #: (levels x positions x times).
 MAX_TABLE_CELLS = 10**6
 
-#: The scenario format.  Each section names the dataclass it builds and
-#: maps its YAML keys, in document order, to that dataclass's fields.  A
-#: field's default sets its key's type (enum: one of its values, then bool,
-#: int, float); a field without one is a required finite number.
-_SECTIONS = {
-    "pipeline": (PipelineConfig, {
-        "length_m": "length_m",
-        "sound_speed_m_s": "sound_speed_m_s",
-        "linearization_a_per_s": "linearization_a",
-        "inlet_pressure_pa": "inlet_pressure_pa",
-        "base_flow": "base_flow",
-    }),
-    "withdrawals": (WithdrawalPoint, {
-        "position_m": "position_m",
-        "rate": "rate",
-    }),
-    "series": (SeriesOptions, {
-        "truncation": "truncation_n",
-        "decay_mode": "decay_mode",
-        "withdrawal_model": "withdrawal_model",
-        "gradient_mode": "gradient_mode",
-        "closed_form_acceleration": "closed_form_acceleration",
-    }),
-    "safety": (SafetyThresholds, {
-        "optimal_max": "optimal_max",
-        "permissible_max": "permissible_max",
-        "unsafe_min": "unsafe_min",
-    }),
-}
+#: The two keys that differ from the fields they fill, by field name.
+_RENAMED = {"linearization_a": "linearization_a_per_s",
+            "truncation_n": "truncation"}
+#: The scenario format, read off the dataclasses: each section names the
+#: class it builds and maps its keys, in field order, to (field name,
+#: default).  A default sets its key's type (enum: one of its values, then
+#: bool, int, float); a field without one is a required finite number.
+_SECTIONS = {section: (cls, {_RENAMED.get(f.name, f.name): (f.name, f.default)
+                             for f in fields(cls)})
+             for section, cls in (("pipeline", PipelineConfig),
+                                  ("withdrawals", WithdrawalPoint),
+                                  ("series", SeriesOptions),
+                                  ("safety", SafetyThresholds))}
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +216,22 @@ def _read(value, default, path: str, key: str):
     return value
 
 
-#: Per section, built once: its fields' defaults, and its hash text.
-_DEFAULTS = {section: {f.name: f.default for f in fields(cls)}
-             for section, (cls, _) in _SECTIONS.items()}
-_TEXTS = {section: "{%s}" % ",".join(f'"{key}":%({name})s'
-                                     for key, name in sorted(keys.items()))
+#: Per section, built once: its hash text.
+_TEXTS = {section: "{%s}" % ",".join(
+              f'"{key}":%({name})s' for key, (name, _) in sorted(keys.items()))
           for section, (_, keys) in _SECTIONS.items()}
 
 
 def _section(node, section: str, path: str):
     """Build one section's dataclass from its mapping, keys in table order."""
-    (cls, keys), defaults = _SECTIONS[section], _DEFAULTS[section]
+    cls, keys = _SECTIONS[section]
     node = _require_mapping(node, path)
     _reject_unknown(node, keys, path)
     values = {}
-    for key, name in keys.items():
+    for key, (name, default) in keys.items():
         if key in node:
-            values[name] = _read(node[key], defaults[name], path, key)
-        elif defaults[name] is MISSING:
+            values[name] = _read(node[key], default, path, key)
+        elif default is MISSING:
             raise ValidationError(f"{path}.{key}: missing required key")
     try:
         return cls(**values)
@@ -258,7 +242,7 @@ def _section(node, section: str, path: str):
 def _plain(obj, section: str) -> dict:
     """One section's plain-data form, keys in table order."""
     values = {key: getattr(obj, name)
-              for key, name in _SECTIONS[section][1].items()}
+              for key, (name, _) in _SECTIONS[section][1].items()}
     return {key: value.value if isinstance(value, enum.Enum) else value
             for key, value in values.items()}
 
@@ -303,7 +287,6 @@ class Scenario:
         # json.dumps(self.normalized(), sort_keys=True, separators=(",", ":")),
         # written from _TEXTS for the value types a loaded scenario holds.
         import hashlib
-        pipeline, point, series, safety = _TEXTS.values()
         points = list(map(vars, self.schedule.points))
         numbers = [*vars(self.pipeline).values(), *vars(self.safety).values(),
                    *chain.from_iterable(map(dict.values, points))]
@@ -314,8 +297,10 @@ class Scenario:
                 and all(map(math.isfinite, numbers))):
             canonical = (
                 '{"pipeline":%s,"safety":%s,"series":%s,"withdrawals":[%s]}'
-                % (pipeline % vars(self.pipeline), safety % vars(self.safety),
-                   series % texts, ",".join(map(point.__mod__, points))))
+                % (_TEXTS["pipeline"] % vars(self.pipeline),
+                   _TEXTS["safety"] % vars(self.safety),
+                   _TEXTS["series"] % texts,
+                   ",".join(map(_TEXTS["withdrawals"].__mod__, points))))
         else:
             canonical = json.dumps(self.normalized(), sort_keys=True,
                                    separators=(",", ":"))

@@ -2,7 +2,11 @@ import builtins
 import contextlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -536,6 +540,52 @@ class TestPlumbing:
                                 "--x", "100", "--time", "50")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ValidationError"
+
+
+class TestScenarioDoor:
+    """A scenario file is read as at most 2**20 characters of UTF-8 text,
+    with universal newlines; any other file is a parse error (exit 1)."""
+
+    def test_file_at_the_cap_loads(self, capsys, tmp_path):
+        # CRLF line ends: the cap counts characters after newline
+        # translation, so this file's bytes exceed it.
+        text = SCENARIO_PATH.read_text()
+        text += "#" * (2**20 - len(text) - 1) + "\n"
+        path = tmp_path / "cap.yaml"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert path.stat().st_size > 2**20
+        code, out, err = invoke(capsys, "echo-config", "--scenario",
+                                str(path))
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, "echo-config", "--scenario", REF)[1]
+
+    @pytest.mark.parametrize("door", ["latin-1", "over-the-cap", "dev-zero"])
+    def test_refused_in_a_bounded_process(self, tmp_path, door):
+        text = SCENARIO_PATH.read_text()
+        path = tmp_path / f"{door}.yaml"
+        if door == "latin-1":
+            path.write_bytes(text.encode() + b"# caf\xe9\n")
+        elif door == "over-the-cap":    # valid but for its length
+            path.write_text(text + "#" * (2**20 - len(text)) + "\n")
+        else:
+            path = Path("/dev/zero")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringflow", "node", "--time", "100",
+             "--scenario", str(path)], env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=limit_memory)
+        assert proc.returncode == 1 and proc.stdout == ""
+        line, = proc.stderr.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(f"scenario {str(path)!r} ")
 
 
 # ---------------------------------------------------------------------------

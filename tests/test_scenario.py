@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -17,8 +18,8 @@ from ringflow import (DISCREPANCIES, DecayMode, GradientMode,
                       NonFiniteResult, OutOfDomain,
                       ParseError, PipelineConfig, RingflowError,
                       SafetyThresholds, Scenario, SeriesOptions,
-                      ValidationError, WithdrawalModel, WithdrawalSchedule,
-                      admissible_table,
+                      ValidationError, WithdrawalModel, WithdrawalPoint,
+                      WithdrawalSchedule, admissible_table,
                       build_report, drawdown_table, dump_scenario, emit,
                       find_coupling_point, gradient_table, load_scenario)
 import ringflow.scenario as scenario_module
@@ -281,6 +282,36 @@ class TestScenarioHash:
                 "flow-sections"]):
             loaded = load_scenario(text + "# loaded\n")
             assert loaded.scenario_hash() == _json_hash(loaded)
+
+    @pytest.mark.parametrize("section, name", [
+        (section, field.name) for section, cls in (
+            ("pipeline", PipelineConfig), ("schedule", WithdrawalPoint),
+            ("series", SeriesOptions), ("safety", SafetyThresholds))
+        for field in dataclasses.fields(cls)])
+    def test_every_field_reaches_the_hash(self, scenario, section, name):
+        """A one-step change to any field of the four section classes (an
+        ulp, one more mode, another enum member, the other boolean)
+        changes the hash and the dumped text."""
+        def changed(obj):
+            value = getattr(obj, name)
+            if isinstance(value, bool):
+                other = not value
+            elif isinstance(value, enum.Enum):
+                other = next(m for m in type(value) if m is not value)
+            elif isinstance(value, int):
+                other = value + 1
+            else:
+                other = math.nextafter(value, math.inf)
+            return dataclasses.replace(obj, **{name: other})
+
+        if section == "schedule":
+            value = WithdrawalSchedule(tuple(map(changed,
+                                                 scenario.schedule.points)))
+        else:
+            value = changed(getattr(scenario, section))
+        other = dataclasses.replace(scenario, **{section: value})
+        assert other.scenario_hash() != scenario.scenario_hash()
+        assert dump_scenario(other) != dump_scenario(scenario)
 
     def test_checks_are_built_once(self, scenario, monkeypatch):
         def fields(cls):

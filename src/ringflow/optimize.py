@@ -124,14 +124,16 @@ def find_coupling_point(t: float, schedule: WithdrawalSchedule,
     # The base, pre-connection field by default; with include_withdrawals
     # the full gradient of the loaded field.
     sched = schedule if include_withdrawals else series.EMPTY_SCHEDULE
-    basis = series._basis(t, opts.decay_rate(cfg), opts)
+    xs = np.arange(grid_step, cfg.length_m, grid_step)
+    xs = np.concatenate(([0.0], xs[xs < cfg.length_m], [cfg.length_m]))
+    # The scan is the widest of the evaluations sharing this basis.
+    basis = series._basis(t, opts.decay_rate(cfg), opts,
+                          xs.size * (len(sched.points) + 1))
 
     def grad(x) -> np.ndarray:
         return series._gradient(series._positions(x, cfg), basis, sched, cfg,
                                 opts, GradientMode.FULL)[0]
 
-    xs = np.arange(grid_step, cfg.length_m, grid_step)
-    xs = np.concatenate(([0.0], xs[xs < cfg.length_m], [cfg.length_m]))
     values = grad(xs)
     definite = values != 0.0              # zeros carry the last sign
     xs, values = xs[definite], values[definite]
@@ -166,7 +168,7 @@ def tap_pressure(total: float, t: float, x_new: float,
     The base pressure minus ``total`` times the point-mode per-unit drop
     there: the full series evaluated at its own tap.
     """
-    x, basis = series._grid(x_new, t, cfg, opts)
+    x, basis = series._grid(x_new, t, cfg, opts, 1)
     drop = float(series._unit_drop(x, basis, x_new, cfg, opts)[0, 0])
     base = series._pressure_field(x, basis, series.EMPTY_SCHEDULE, cfg, opts)
     return float(base[0, 0]) - total * drop
@@ -197,7 +199,7 @@ def invert_withdrawal(p_target: float, t: float, x_new: float,
     _check_tap(x_new, cfg)
     if not 0.0 < t < math.inf:
         raise InvalidParameter("inversion requires a finite t > 0")
-    x, basis = series._grid(x_new, t, cfg, opts)
+    x, basis = series._grid(x_new, t, cfg, opts, 1)
     if printed_form:
         drop = (cfg.sound_speed_m_s**2 / cfg.length_m
                 * (t + 2.0 * series.s_e(t, cfg, opts)))

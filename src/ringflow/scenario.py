@@ -458,7 +458,7 @@ def drawdown_table(scenario: Scenario, x_list, t_list, g_levels,
     import numpy as np
 
     from .series import EMPTY_SCHEDULE, _grid, _pressure_field, _unit_drop
-    positions, basis = _grid(x_list, t_list, cfg, scenario.series)
+    positions, basis = _grid(x_list, t_list, cfg, scenario.series, 1)
     base = _pressure_field(positions, basis, EMPTY_SCHEDULE, cfg,
                            scenario.series)
     drop = _unit_drop(positions, basis, tap, cfg, scenario.series)

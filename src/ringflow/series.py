@@ -44,6 +44,20 @@ With no positive time, or where rate * t_min underflows, N_eff is
 ``truncation_n``.  The plain route keeps all ``truncation_n`` terms: its
 truncated tail is part of the model it evaluates.
 
+A block of N modes x P angles with (N - 2) * P < ``_POWERS_FROM`` takes
+the weights times an N x P matrix of sin(n*u) or cos(n*u); a larger one
+takes them times the imaginary or real parts of the powers z^n of z =
+exp(i*u), built by doubling (rows k..2k-1 are rows 0..k-1 times z^k): a
+sine and a cosine per angle, not per mode and angle.  Both products go
+through BLAS.  Against a long double reference (3 to 10^5 modes, angles at
+and near 0, pi and 2*pi) the powers err by at most 0.29*N*eps*sum_n |w_n|,
+the matrix, which rounds each n*u, by 1.2*N*eps*sum_n |w_n|.
+
+A field evaluation sums at most ``_MAX_TERMS`` = 10^9 terms, (taps + 1) x
+positions x times x modes.  ``_basis`` counts them, with the positions and
+taps its caller passes, before it allocates, and refuses more with
+:class:`InvalidParameter`.
+
 Withdrawal angles are always reduced through ``(x - x_i) mod L`` before any
 trigonometry, which makes the point-mode field exactly periodic in floating
 point: P(0, t) and P(L, t) are computed from identical intermediates.
@@ -59,7 +73,7 @@ import numpy as np
 
 from .core import (GradientMode, PipelineConfig, SeriesOptions,
                    WithdrawalModel, WithdrawalPoint, WithdrawalSchedule)
-from .errors import OutOfDomain
+from .errors import InvalidParameter, OutOfDomain
 
 _PI = math.pi
 _PI_SQ_OVER_6 = math.pi**2 / 6.0
@@ -67,10 +81,19 @@ _PI_SQ_OVER_6 = math.pi**2 / 6.0
 DEFAULT_OPTIONS = SeriesOptions()
 EMPTY_SCHEDULE = WithdrawalSchedule(())
 
-#: Most modes x angles in one trig matrix; longer angle vectors go in
-#: blocks.  A whole 200-mode, 3000-position gradient table in one matrix
-#: (two 4.8 MB temporaries) raised the plan benchmark's peak RSS by 15 %.
+#: Most modes x angles in one block (0.5 MiB of trig matrix, 1 MiB of
+#: complex powers); longer angle vectors go in blocks.  A whole 200-mode,
+#: 3000-position gradient table in one matrix (two 4.8 MB temporaries)
+#: raised the plan benchmark's peak RSS by 15 %.
 _TRIG_ELEMENTS = 1 << 16
+
+#: Sines or cosines, (modes - 2) x angles, that the powers must save in a
+#: block to beat the trig matrix; the two tie near 1024.
+_POWERS_FROM = 1536
+
+#: Most terms, (taps + 1) x positions x times x modes, that one field
+#: evaluation sums: about 1-4 s at 10^5 modes on a 2-core x86-64 host.
+_MAX_TERMS = 10**9
 
 #: Accelerated corrections with n^2*rate*t beyond this exponent are below
 #: 1e-20 and are not summed.
@@ -118,25 +141,37 @@ def _modes(times: np.ndarray, rate: float, opts: SeriesOptions) -> int:
 _Basis = namedtuple("_Basis", "times n scale weights zero")
 
 
-def _basis(times, rate: float, opts: SeriesOptions) -> _Basis:
-    """Times checked against [0, inf) and their basis at decay ``rate``."""
+def _basis(times, rate: float, opts: SeriesOptions,
+           width: int = 1) -> _Basis:
+    """Times checked against [0, inf) and their basis at decay ``rate``,
+    refused before it is built where ``width`` sums per time and mode
+    ((taps + 1) x positions of the widest evaluation) pass the budget."""
     times = np.array(times, dtype=float, ndmin=1)
     least = np.minimum.reduce(times, None, initial=math.inf)
     if not (least >= 0.0 and times.max(initial=0.0) < math.inf):
         finite = (times >= 0.0) & (times < math.inf)
         raise OutOfDomain(f"time {times[~finite][0]:g} outside [0, inf)")
-    n = np.arange(1.0, _modes(times, rate, opts) + 1.0)
+    modes = _modes(times, rate, opts)
+    terms = width * times.size * modes
+    if terms > _MAX_TERMS:
+        raise InvalidParameter(
+            f"field of {terms} terms ((taps + 1) x positions x times x "
+            f"modes) exceeds {_MAX_TERMS}")
+    n = np.arange(1.0, modes + 1.0)
     decay = np.exp(-((rate * times)[:, None] * (n * n)))
     return _Basis(times, n, decay if opts.closed_form_acceleration else
                   1.0 - decay, {}, times == 0.0 if least == 0.0 else None)
 
 
-def _grid(x, times, cfg: PipelineConfig, opts: SeriesOptions):
-    """Checked positions and the basis of ``times``; a caller sharing a basis
-    passes it with positions it checked, and both pass through as is."""
+def _grid(x, times, cfg: PipelineConfig, opts: SeriesOptions,
+          taps: int = 0):
+    """Checked positions and the basis of ``times`` for the base sum and
+    ``taps`` tap sums at each; a caller sharing a basis passes it with
+    positions it checked, and both pass through as is."""
     if isinstance(times, _Basis):
         return x, times
-    return _positions(x, cfg), _basis(times, opts.decay_rate(cfg), opts)
+    x = _positions(x, cfg)
+    return x, _basis(times, opts.decay_rate(cfg), opts, x.size * (taps + 1))
 
 
 def _mode_sum(theta, basis: _Basis, opts: SeriesOptions, power: int):
@@ -148,7 +183,18 @@ def _mode_sum(theta, basis: _Basis, opts: SeriesOptions, power: int):
     if blocks > 1 and theta.size > 1:
         return np.hstack([_mode_sum(u, basis, opts, power)
                           for u in np.array_split(theta, blocks)])
-    out = weights @ (np.sin if power % 2 else np.cos)(n[:, None] * theta)
+    if (n.size - 2) * theta.size < _POWERS_FROM:
+        out = weights @ (np.sin if power % 2 else np.cos)(n[:, None] * theta)
+    else:
+        powers = np.empty((n.size, theta.size), complex)
+        powers[0] = np.exp(1j * theta)
+        k = 1
+        while k < n.size:         # rows k..2k-1: rows 0..k-1 times z^k
+            rows = powers[k:2 * k]
+            np.multiply(powers[:len(rows)], powers[k - 1], out=rows)
+            k *= 2
+        # One contiguous BLAS product over both parts beats copying one out.
+        out = (weights @ powers.view(float))[:, power % 2::2]
     if opts.closed_form_acceleration:
         out = _CLOSED_FORMS[power](theta) - out
     if basis.zero is not None:
@@ -189,7 +235,7 @@ def _add_taps(out, x, basis: _Basis, schedule: WithdrawalSchedule,
 def _response_kernel(x, times, schedule: WithdrawalSchedule,
                      cfg: PipelineConfig, opts: SeriesOptions,
                      model: WithdrawalModel | None = None) -> np.ndarray:
-    x, basis = _grid(x, times, cfg, opts)
+    x, basis = _grid(x, times, cfg, opts, len(schedule.points))
     if not schedule.points:             # no taps: no loop, no t = 0 mask
         return np.zeros((basis.times.size, x.size))
     c_sq = cfg.sound_speed_m_s**2
@@ -202,7 +248,7 @@ def _response_kernel(x, times, schedule: WithdrawalSchedule,
 
 def _pressure_field(x, times, schedule: WithdrawalSchedule,
                     cfg: PipelineConfig, opts: SeriesOptions) -> np.ndarray:
-    x, basis = _grid(x, times, cfg, opts)
+    x, basis = _grid(x, times, cfg, opts, len(schedule.points))
     coeff = (2.0 * cfg.linearization_a * cfg.base_flow * cfg.length_m) / _PI
     field = cfg.nominal_pressure() + coeff * _half_wave_sum(x, basis, cfg, opts)
     return field + _response_kernel(x, basis, schedule, cfg, opts) \
@@ -228,7 +274,7 @@ def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
               opts: SeriesOptions,
               mode: GradientMode | None = None) -> np.ndarray:
     """dP/dx without the delta regularization at tap positions."""
-    x, basis = _grid(x, times, cfg, opts)
+    x, basis = _grid(x, times, cfg, opts, len(schedule.points))
     length = cfg.length_m
     grad = (2.0 * cfg.linearization_a * cfg.base_flow
             * _mode_sum(_PI * (x / length), basis, opts, 2))
@@ -242,7 +288,7 @@ def _gradient(x, times, schedule: WithdrawalSchedule, cfg: PipelineConfig,
 def _regularized_gradient(x, times, schedule: WithdrawalSchedule,
                           cfg: PipelineConfig, opts: SeriesOptions):
     """dP/dx with the columns at tap positions set to exactly 0."""
-    x, basis = _grid(x, times, cfg, opts)
+    x, basis = _grid(x, times, cfg, opts, len(schedule.points))
     grad = _gradient(x, basis, schedule, cfg, opts)
     for point in schedule.points:
         grad[:, x == point.position_m] = 0.0
@@ -344,7 +390,7 @@ def sample(x: float, t: float, schedule: WithdrawalSchedule,
            opts: SeriesOptions = DEFAULT_OPTIONS) -> ProfileSample:
     """Pressure and regularized gradient at one (x, t) point, from one
     check and one basis."""
-    grid = _grid(x, t, cfg, opts)
+    grid = _grid(x, t, cfg, opts, len(schedule.points))
     p = _pressure_field(*grid, schedule, cfg, opts)[0, 0]
     dp_dx = _regularized_gradient(*grid, schedule, cfg, opts)[0, 0]
     return ProfileSample(x, t, float(p), float(dp_dx))

@@ -34,6 +34,21 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_bounded(*argv) -> subprocess.CompletedProcess:
+    """``python -m ringflow *argv`` in a child process with a 60 s timeout
+    and a 2 GiB address space."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ringflow", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory)
+
+
 class TestNode:
     def test_reference(self, capsys):
         code, out, err = invoke(capsys, "node", "--scenario", REF,
@@ -487,6 +502,26 @@ class TestPlumbing:
         line, = err.splitlines()
         assert json.loads(line)["error"] == "InvalidParameter"
 
+    @pytest.mark.parametrize("argv", [
+        ("gradient-table", "--dx", "10", "--times", "100,200"),
+        ("node", "--time", "100", "--grid-step", "1"),
+        # 6000 times x 10^5 modes: a 4.5 GiB basis at one position.
+        ("drawdown", "--positions", "0", "--levels", "1",
+         "--times", ",".join(str(t) for t in range(1, 6001))),
+    ], ids=lambda argv: argv[0])
+    def test_over_the_term_budget_in_a_bounded_process(self, tmp_path, argv):
+        # 10^5 modes on the plain route: 1.2e9, 3.0e9 and 1.2e9 terms.
+        path = tmp_path / "budget.yaml"
+        path.write_text(SCENARIO_PATH.read_text() + "series:\n  truncation: "
+                        "100000\n  closed_form_acceleration: false\n")
+        proc = run_bounded(*argv, "--scenario", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        line, = proc.stderr.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "InvalidParameter"
+        assert " terms ((taps + 1) x positions x times x modes) exceeds " \
+            in payload["message"]
+
     def test_truncation_above_cap_is_validation_error(self, capsys,
                                                      tmp_path):
         # Refused on loading: at t = 0 the field would sum every mode.
@@ -570,17 +605,7 @@ class TestScenarioDoor:
         else:
             path = Path("/dev/zero")
 
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).resolve().parents[1]),
-                          env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringflow", "node", "--time", "100",
-             "--scenario", str(path)], env=env, capture_output=True,
-            text=True, timeout=60, preexec_fn=limit_memory)
+        proc = run_bounded("node", "--time", "100", "--scenario", str(path))
         assert proc.returncode == 1 and proc.stdout == ""
         line, = proc.stderr.splitlines()
         payload = json.loads(line)

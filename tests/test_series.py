@@ -1,14 +1,15 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ringflow.series as series
-from ringflow import (DecayMode, OutOfDomain, SeriesOptions, WithdrawalModel,
-                      WithdrawalSchedule, base_pressure, pressure,
-                      pressure_gradient, s_e, s_sin, sample,
-                      withdrawal_response)
+from ringflow import (DecayMode, InvalidParameter, OutOfDomain,
+                      SeriesOptions, WithdrawalModel, WithdrawalSchedule,
+                      base_pressure, pressure, pressure_gradient, s_e, s_sin,
+                      sample, withdrawal_response)
 from ringflow.series import ProfileSample, gradient_periodicity_gap
 
 PLAIN_50K = SeriesOptions(truncation_n=50000, closed_form_acceleration=False)
@@ -297,3 +298,53 @@ class TestBasis:
         bad = next(v for v in x if not 0.0 <= v <= 30000.0)
         with pytest.raises(OutOfDomain, match=f"^position {bad:g} outside"):
             series._positions(x, cfg)
+
+
+class TestTermBudget:
+    """A field evaluation sums (taps + 1) x positions x times x modes terms
+    at most, counted before its basis is built."""
+
+    @pytest.mark.parametrize("taps", [0, 1, 2])
+    def test_the_count_and_its_edge(self, cfg, monkeypatch, taps):
+        schedule = WithdrawalSchedule.from_pairs(
+            (1000.0 * (k + 1), 1.0) for k in range(taps))
+        x, times, opts = np.linspace(0.0, 30000.0, 7), [1.0, 2.0], \
+            SeriesOptions(truncation_n=40, closed_form_acceleration=False)
+        terms = (taps + 1) * 7 * 2 * 40
+        monkeypatch.setattr(series, "_MAX_TERMS", terms)
+        series._pressure_field(x, times, schedule, cfg, opts)
+        monkeypatch.setattr(series, "_MAX_TERMS", terms - 1)
+
+        def unbuilt(*args):
+            raise AssertionError("the basis was built")
+
+        monkeypatch.setattr(np, "exp", unbuilt)
+        for field in (series._pressure_field, series._gradient,
+                      series._regularized_gradient):
+            with pytest.raises(InvalidParameter,
+                               match=f"^field of {terms} terms "):
+                field(x, times, schedule, cfg, opts)
+
+    def test_plan_queries_stay_far_under_it(self, monkeypatch):
+        # Every plan query of seeds 1-3 (the ledger's 45 rounds) sums at
+        # most 1/25 of the budget in any one field evaluation.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "bench"))
+        from inputs import query_inputs
+        from ops import run_plan
+
+        basis, largest = series._basis, [0]
+
+        def counted(times, rate, opts, width=1):
+            built = basis(times, rate, opts, width)
+            largest[0] = max(largest[0],
+                             width * built.times.size * built.n.size)
+            return built
+
+        monkeypatch.setattr(series, "_basis", counted)
+        for seed in (1, 2, 3):
+            inputs = query_inputs(seed, 45, True)
+            for query in inputs.census + sum(inputs.rounds, []):
+                run_plan(query, inputs.scenarios[query.scenario]
+                         if query.scenario >= 0 else None)
+        assert 0 < 25 * largest[0] <= series._MAX_TERMS
